@@ -21,7 +21,6 @@
 #include <iostream>
 
 #include "bchain/cluster.hpp"
-#include "bchain/qs_cluster.hpp"
 #include "metrics/table.hpp"
 #include "runtime/quorum_cluster.hpp"
 

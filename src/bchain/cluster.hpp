@@ -1,61 +1,19 @@
-// BChainCluster — the BChain baseline over the simulated network.
+// The chain protocols over the simulated network (runtime::SmrCluster):
+// the BChain baseline (Cluster) and chain replication with
+// Quorum-Selection-driven reconfiguration (QsChainCluster, the paper's
+// future-work integration, Section X).
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
+#include "bchain/qs_replica.hpp"
 #include "bchain/replica.hpp"
-#include "common/process_set.hpp"
-#include "common/types.hpp"
-#include "crypto/signer.hpp"
-#include "runtime/sim_transport.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
-#include "smr/client.hpp"
+#include "runtime/smr_cluster.hpp"
 
 namespace qsel::bchain {
 
-struct ClusterConfig {
-  ProcessId n = 4;
-  int f = 1;
-  std::uint32_t clients = 1;
-  std::uint64_t seed = 1;
-  sim::NetworkConfig network;
-  SimDuration ack_timeout = 20'000'000;
-  SimDuration client_retry = 50'000'000;
-  app::WorkloadConfig workload;
-};
+using ClusterConfig = runtime::SmrClusterConfig<ReplicaConfig>;
+using Cluster = runtime::SmrCluster<Replica, ReplicaConfig>;
 
-class Cluster {
- public:
-  explicit Cluster(ClusterConfig config, ProcessSet byzantine = {});
-
-  sim::Simulator& simulator() { return sim_; }
-  sim::Network& network() { return *network_; }
-  const crypto::KeyRegistry& keys() const { return keys_; }
-
-  Replica& replica(ProcessId id);
-  smr::Client& client(std::uint32_t index);
-
-  ProcessSet alive_replicas() const;
-  void start_clients(std::uint64_t requests_per_client);
-  std::uint64_t total_completed() const;
-  std::uint64_t max_reconfigurations() const;
-  /// True iff every pair of honest live replicas agrees on the common
-  /// prefix of its executed history (same check as xpaxos::Cluster).
-  bool histories_consistent() const;
-
- private:
-  ClusterConfig config_;
-  sim::Simulator sim_;
-  crypto::KeyRegistry keys_;
-  std::unique_ptr<sim::Network> network_;
-  ProcessSet honest_replicas_;
-  /// Client transports; declared before clients_ so clients die first.
-  std::vector<std::unique_ptr<runtime::SimTransport>> client_transports_;
-  std::vector<std::unique_ptr<Replica>> replicas_;
-  std::vector<std::unique_ptr<smr::Client>> clients_;
-};
+using QsClusterConfig = runtime::SmrClusterConfig<QsReplicaConfig>;
+using QsChainCluster = runtime::SmrCluster<QsReplica, QsReplicaConfig>;
 
 }  // namespace qsel::bchain

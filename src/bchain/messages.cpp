@@ -1,6 +1,18 @@
 #include "bchain/messages.hpp"
 
+#include <algorithm>
+
 namespace qsel::bchain {
+
+ProcessId chain_neighbour(const std::vector<ProcessId>& chain, ProcessId self,
+                          int step) {
+  const auto it = std::find(chain.begin(), chain.end(), self);
+  if (it == chain.end()) return kNoProcess;
+  const auto pos = (it - chain.begin()) + step;
+  if (pos < 0 || pos >= static_cast<std::ptrdiff_t>(chain.size()))
+    return kNoProcess;
+  return chain[static_cast<std::size_t>(pos)];
+}
 
 std::vector<std::uint8_t> ChainMessage::signed_bytes() const {
   net::Encoder enc;

@@ -73,4 +73,10 @@ struct ReconfigMessage final : sim::Payload {
   bool verify(const crypto::Signer& verifier, ProcessId n) const;
 };
 
+/// The member `step` places from `self` along `chain` (head first: +1 is
+/// the successor, -1 the predecessor); kNoProcess past either end or when
+/// `self` is not on the chain.
+ProcessId chain_neighbour(const std::vector<ProcessId>& chain, ProcessId self,
+                          int step);
+
 }  // namespace qsel::bchain

@@ -4,46 +4,29 @@
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
-#include "suspect/update_message.hpp"
 
 namespace qsel::bchain {
 
-QsReplica::QsReplica(sim::Network& network, const crypto::KeyRegistry& keys,
-                     ProcessId self, QsReplicaConfig config)
-    : network_(network),
-      signer_(keys, self),
+/// Delay before the head re-drives unexecuted slots after a chain change,
+/// letting the UPDATE gossip settle first.
+constexpr SimDuration kRedriveDelay = 3'000'000;  // 3 ms
+
+QsReplica::QsReplica(net::Transport& transport,
+                     const crypto::KeyRegistry& keys, QsReplicaConfig config)
+    : transport_(transport),
+      signer_(keys, transport.self()),
       config_(config),
-      fd_(network.simulator(), self, config.n, config.fd,
-          [this](ProcessSet suspects) { selector_.on_suspected(suspects); }),
-      selector_(signer_, qs::QuorumSelectorConfig{config.n, config.f},
-                qs::QuorumSelector::Hooks{
-                    [this](ProcessSet quorum) { on_selected_quorum(quorum); },
-                    [this](sim::PayloadPtr msg) { broadcast_others(msg); },
-                    /*persist=*/{}}) {
-  QSEL_REQUIRE(self < config.n);
-  for (ProcessId id : selector_.quorum()) chain_.push_back(id);
-}
-
-void QsReplica::broadcast_others(const sim::PayloadPtr& message) {
-  network_.broadcast(self(),
-                     ProcessSet::full(config_.n) - ProcessSet{self()},
-                     message);
-}
-
-ProcessId QsReplica::successor() const {
-  const auto it = std::find(chain_.begin(), chain_.end(), self());
-  if (it == chain_.end() || it + 1 == chain_.end()) return kNoProcess;
-  return *(it + 1);
-}
-
-ProcessId QsReplica::predecessor() const {
-  const auto it = std::find(chain_.begin(), chain_.end(), self());
-  if (it == chain_.end() || it == chain_.begin()) return kNoProcess;
-  return *(it - 1);
+      plane_(transport, signer_,
+             {config.n, config.f, config.fd, suspect::GossipMode::kFullRow},
+             [this](ProcessSet quorum) { on_selected_quorum(quorum); }) {
+  QSEL_REQUIRE(self() < config.n);
+  for (ProcessId id : selector().quorum()) chain_.push_back(id);
+  transport_.set_handler([this](ProcessId from, const sim::PayloadPtr& msg) {
+    on_message(from, msg);
+  });
 }
 
 void QsReplica::on_message(ProcessId from, const sim::PayloadPtr& message) {
-  (void)from;
   if (auto request =
           std::dynamic_pointer_cast<const smr::ClientRequest>(message)) {
     handle_request(request);
@@ -52,12 +35,8 @@ void QsReplica::on_message(ProcessId from, const sim::PayloadPtr& message) {
     handle_chain(chain);
   } else if (auto ack = std::dynamic_pointer_cast<const AckMessage>(message)) {
     handle_ack(ack);
-  } else if (auto update = std::dynamic_pointer_cast<
-                 const suspect::UpdateMessage>(message)) {
-    if (update->verify(signer_, config_.n)) {
-      fd_.on_receive(update->origin, message);
-      selector_.on_update(update);
-    }
+  } else {
+    plane_.on_message(from, message);
   }
 }
 
@@ -66,11 +45,11 @@ void QsReplica::handle_request(
   if (!request->verify(signer_)) return;
   const auto key = std::make_pair(request->client, request->client_seq);
   if (const auto it = results_.find(key); it != results_.end()) {
-    if (request->client < network_.process_count())
-      network_.send(self(), request->client,
-                    smr::ReplyMessage::make(signer_, config_id(),
-                                            request->client,
-                                            request->client_seq, it->second));
+    if (request->client < transport_.process_count())
+      transport_.send(request->client,
+                      smr::ReplyMessage::make(signer_, config_id(),
+                                              request->client,
+                                              request->client_seq, it->second));
     return;
   }
   if (client_index_.contains(key)) return;
@@ -84,16 +63,16 @@ void QsReplica::handle_request(
   // Chain member: the head owes the chain a CHAIN message for this
   // request; a starving request surfaces as an expectation timeout, i.e.
   // as a *suspicion* against the head rather than an unattributed blame.
-  if (fd_.suspected().contains(head())) return;
+  if (fd().suspected().contains(head())) return;
   const auto client = request->client;
   const auto client_seq = request->client_seq;
-  fd_.expect(head(),
-             [client, client_seq](ProcessId, const sim::PayloadPtr& m) {
-               const auto* c = dynamic_cast<const ChainMessage*>(m.get());
-               return c != nullptr && c->client == client &&
-                      c->client_seq == client_seq;
-             },
-             "chain-proposal");
+  fd().expect(head(),
+              [client, client_seq](ProcessId, const sim::PayloadPtr& m) {
+                const auto* c = dynamic_cast<const ChainMessage*>(m.get());
+                return c != nullptr && c->client == client &&
+                       c->client_seq == client_seq;
+              },
+              "chain-proposal");
 }
 
 void QsReplica::forward_down(const std::shared_ptr<const ChainMessage>& msg) {
@@ -103,24 +82,24 @@ void QsReplica::forward_down(const std::shared_ptr<const ChainMessage>& msg) {
     slot.acked_config = msg->config_epoch;
     const ProcessId prev = predecessor();
     if (prev != kNoProcess)
-      network_.send(self(), prev,
-                    AckMessage::make(signer_, msg->config_epoch, msg->slot));
+      transport_.send(prev,
+                      AckMessage::make(signer_, msg->config_epoch, msg->slot));
     try_execute();
     return;
   }
-  network_.send(self(), next, msg);
+  transport_.send(next, msg);
   // The ACK for this slot is *expected* from the successor; its absence is
   // a suspicion the failure detector turns into quorum-selection input.
-  if (!fd_.suspected().contains(next)) {
+  if (!fd().suspected().contains(next)) {
     const SeqNum slot_no = msg->slot;
     const std::uint64_t config = msg->config_epoch;
-    fd_.expect(next,
-               [slot_no, config](ProcessId, const sim::PayloadPtr& m) {
-                 const auto* a = dynamic_cast<const AckMessage*>(m.get());
-                 return a != nullptr && a->slot == slot_no &&
-                        a->config_epoch == config;
-               },
-               "ack");
+    fd().expect(next,
+                [slot_no, config](ProcessId, const sim::PayloadPtr& m) {
+                  const auto* a = dynamic_cast<const AckMessage*>(m.get());
+                  return a != nullptr && a->slot == slot_no &&
+                         a->config_epoch == config;
+                },
+                "ack");
   }
 }
 
@@ -129,7 +108,7 @@ void QsReplica::handle_chain(const std::shared_ptr<const ChainMessage>& msg) {
   if (!msg->verify(signer_, config_.n, head())) return;
   // Expectations target the head (the signer), regardless of the relaying
   // predecessor.
-  fd_.on_receive(msg->sig.signer, msg);
+  fd().on_receive(msg->sig.signer, msg);
   if (!in_chain()) return;
   Slot& slot = log_[msg->slot];
   if (!slot.chain_msg || slot.chain_msg->config_epoch != msg->config_epoch) {
@@ -142,7 +121,7 @@ void QsReplica::handle_chain(const std::shared_ptr<const ChainMessage>& msg) {
 
 void QsReplica::handle_ack(const std::shared_ptr<const AckMessage>& msg) {
   if (!msg->verify(signer_, config_.n)) return;
-  fd_.on_receive(msg->sender, msg);
+  fd().on_receive(msg->sender, msg);
   if (msg->config_epoch != config_id()) return;
   const auto it = log_.find(msg->slot);
   if (it == log_.end() || !it->second.chain_msg) return;
@@ -151,8 +130,8 @@ void QsReplica::handle_ack(const std::shared_ptr<const AckMessage>& msg) {
   it->second.acked_config = msg->config_epoch;
   const ProcessId prev = predecessor();
   if (prev != kNoProcess)
-    network_.send(self(), prev,
-                  AckMessage::make(signer_, msg->config_epoch, msg->slot));
+    transport_.send(prev,
+                    AckMessage::make(signer_, msg->config_epoch, msg->slot));
   try_execute();
 }
 
@@ -163,11 +142,11 @@ void QsReplica::on_selected_quorum(ProcessSet quorum) {
                                << quorum.to_string() << ")";
   // Expectations from the previous configuration are void (the paper's
   // CANCEL on quorum installation, Section V-B).
-  fd_.cancel_all();
+  fd().cancel_all();
   redrive_timer_.cancel();
   if (head() == self()) {
-    redrive_timer_ = network_.simulator().schedule_timer(
-        config_.redrive_delay, [this] { redrive_as_head(); });
+    redrive_timer_ = transport_.timers().schedule_timer(
+        kRedriveDelay, plane_.guard([this] { redrive_as_head(); }));
   }
 }
 
@@ -200,10 +179,10 @@ void QsReplica::try_execute() {
     const std::string result = store_.apply_encoded(m.op);
     ++requests_executed_;
     results_[{m.client, m.client_seq}] = result;
-    if (m.client >= config_.n && m.client < network_.process_count()) {
-      network_.send(self(), m.client,
-                    smr::ReplyMessage::make(signer_, config_id(), m.client,
-                                            m.client_seq, result));
+    if (m.client >= config_.n && m.client < transport_.process_count()) {
+      transport_.send(m.client,
+                      smr::ReplyMessage::make(signer_, config_id(), m.client,
+                                              m.client_seq, result));
     }
   }
 }

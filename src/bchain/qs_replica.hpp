@@ -30,8 +30,9 @@
 #include "common/types.hpp"
 #include "crypto/signer.hpp"
 #include "fd/failure_detector.hpp"
+#include "net/transport.hpp"
 #include "qs/quorum_selector.hpp"
-#include "sim/network.hpp"
+#include "runtime/selection_plane.hpp"
 #include "smr/client_messages.hpp"
 
 namespace qsel::bchain {
@@ -40,37 +41,39 @@ struct QsReplicaConfig {
   ProcessId n = 4;
   int f = 1;
   fd::FailureDetectorConfig fd;
-  /// Delay before the head re-drives unexecuted slots after a chain
-  /// change, letting the UPDATE gossip settle first.
-  SimDuration redrive_delay = 3'000'000;  // 3 ms
 };
 
-class QsReplica final : public sim::Actor {
+/// Suspicions travel as full-row UPDATEs: like XPaxos, the chain never
+/// ticks its selection plane (DESIGN.md §15).
+class QsReplica final {
  public:
-  QsReplica(sim::Network& network, const crypto::KeyRegistry& keys,
-            ProcessId self, QsReplicaConfig config);
+  /// Installs itself as `transport`'s handler; self() = transport.self().
+  QsReplica(net::Transport& transport, const crypto::KeyRegistry& keys,
+            QsReplicaConfig config);
 
-  void on_message(ProcessId from, const sim::PayloadPtr& message) override;
+  void on_message(ProcessId from, const sim::PayloadPtr& message);
 
   ProcessId self() const { return signer_.self(); }
   /// The selected quorum in ascending order is the chain; its mask is the
   /// shared configuration id.
   const std::vector<ProcessId>& chain() const { return chain_; }
-  std::uint64_t config_id() const { return selector_.quorum().fingerprint64(); }
-  ProcessId head() const { return chain_.front(); }
-  bool in_chain() const { return selector_.quorum().contains(self()); }
-  std::uint64_t reconfigurations() const {
-    return selector_.quorums_issued();
+  std::uint64_t config_id() const {
+    return selector().quorum().fingerprint64();
   }
+  ProcessId head() const { return chain_.front(); }
+  bool in_chain() const { return selector().quorum().contains(self()); }
+  std::uint64_t reconfigurations() const { return selector().quorums_issued(); }
   std::uint64_t requests_executed() const { return requests_executed_; }
   const app::KvStore& store() const { return store_; }
   SeqNum last_executed() const { return last_executed_; }
-  fd::FailureDetector& failure_detector() { return fd_; }
-  const qs::QuorumSelector& selector() const { return selector_; }
+  fd::FailureDetector& failure_detector() { return plane_.failure_detector(); }
+  const qs::QuorumSelector& selector() const { return plane_.selector(); }
 
   /// Journals this replica's suspicion plane and reconfiguration
   /// (<QUORUM, Q>) outputs into `tracer` (null detaches).
-  void set_tracer(trace::Tracer* tracer) { selector_.set_tracer(tracer); }
+  void set_tracer(trace::Tracer* tracer) {
+    plane_.selector().set_tracer(tracer);
+  }
 
  private:
   struct Slot {
@@ -86,15 +89,16 @@ class QsReplica final : public sim::Actor {
   void forward_down(const std::shared_ptr<const ChainMessage>& msg);
   void redrive_as_head();
   void try_execute();
-  ProcessId successor() const;
-  ProcessId predecessor() const;
-  void broadcast_others(const sim::PayloadPtr& message);
+  ProcessId successor() const { return chain_neighbour(chain_, self(), 1); }
+  ProcessId predecessor() const {
+    return chain_neighbour(chain_, self(), -1);
+  }
+  fd::FailureDetector& fd() { return plane_.failure_detector(); }
 
-  sim::Network& network_;
+  net::Transport& transport_;
   crypto::Signer signer_;
   QsReplicaConfig config_;
-  fd::FailureDetector fd_;
-  qs::QuorumSelector selector_;
+  runtime::SelectionPlane<qs::QuorumSelector> plane_;
 
   std::vector<ProcessId> chain_;
   sim::TimerHandle redrive_timer_;

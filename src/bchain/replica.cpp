@@ -7,13 +7,20 @@
 
 namespace qsel::bchain {
 
-Replica::Replica(sim::Network& network, const crypto::KeyRegistry& keys,
-                 ProcessId self, ReplicaConfig config)
-    : network_(network), signer_(keys, self), config_(config) {
-  QSEL_REQUIRE(self < config.n);
+/// How long a chain member lets a buffered client request starve before
+/// blaming the head.
+constexpr SimDuration kRequestTimeout = 40'000'000;  // 40 ms
+
+Replica::Replica(net::Transport& transport, const crypto::KeyRegistry& keys,
+                 ReplicaConfig config)
+    : transport_(transport), signer_(keys, transport.self()), config_(config) {
+  QSEL_REQUIRE(self() < config.n);
   QSEL_REQUIRE(config.f >= 1 &&
                static_cast<ProcessId>(config.f) * 2 < config.n);
   rebuild_chain();
+  transport_.set_handler([this](ProcessId from, const sim::PayloadPtr& msg) {
+    on_message(from, msg);
+  });
 }
 
 void Replica::rebuild_chain() {
@@ -32,18 +39,6 @@ void Replica::rebuild_chain() {
 
 bool Replica::in_chain() const {
   return std::find(chain_.begin(), chain_.end(), self()) != chain_.end();
-}
-
-ProcessId Replica::successor() const {
-  const auto it = std::find(chain_.begin(), chain_.end(), self());
-  if (it == chain_.end() || it + 1 == chain_.end()) return kNoProcess;
-  return *(it + 1);
-}
-
-ProcessId Replica::predecessor() const {
-  const auto it = std::find(chain_.begin(), chain_.end(), self());
-  if (it == chain_.end() || it == chain_.begin()) return kNoProcess;
-  return *(it - 1);
 }
 
 void Replica::on_message(ProcessId from, const sim::PayloadPtr& message) {
@@ -67,11 +62,11 @@ void Replica::handle_request(
   if (!request->verify(signer_)) return;
   const auto key = std::make_pair(request->client, request->client_seq);
   if (const auto it = results_.find(key); it != results_.end()) {
-    if (request->client < network_.process_count())
-      network_.send(self(), request->client,
-                    smr::ReplyMessage::make(signer_, reconfigurations(),
-                                            request->client,
-                                            request->client_seq, it->second));
+    if (request->client < transport_.process_count())
+      transport_.send(request->client,
+                      smr::ReplyMessage::make(signer_, reconfigurations(),
+                                              request->client,
+                                              request->client_seq, it->second));
     return;
   }
   if (client_index_.contains(key)) return;
@@ -86,7 +81,7 @@ void Replica::handle_request(
   // Chain member: watch the head. A starving request means the head is
   // not driving the chain.
   backlog_.emplace(key,
-                   BacklogEntry{request, network_.simulator().now()});
+                   BacklogEntry{request, transport_.timers().now()});
   arm_request_timer();
 }
 
@@ -94,15 +89,15 @@ void Replica::arm_request_timer() {
   if (request_timer_.active() || backlog_.empty()) return;
   // Fire when the oldest entry reaches the timeout; entries younger than
   // that must not trigger blame (the head may be handling them right now).
-  SimTime oldest = network_.simulator().now();
+  SimTime oldest = transport_.timers().now();
   for (const auto& [key, entry] : backlog_) {
     (void)key;
     oldest = std::min(oldest, entry.since);
   }
-  const SimTime deadline = oldest + config_.request_timeout;
-  const SimTime now = network_.simulator().now();
+  const SimTime deadline = oldest + kRequestTimeout;
+  const SimTime now = transport_.timers().now();
   const SimDuration delay = deadline > now ? deadline - now : 1;
-  request_timer_ = network_.simulator().schedule_timer(delay, [this] {
+  request_timer_ = transport_.timers().schedule_timer(delay, [this] {
     for (auto it = backlog_.begin(); it != backlog_.end();) {
       if (results_.contains(it->first) || client_index_.contains(it->first))
         it = backlog_.erase(it);
@@ -116,11 +111,11 @@ void Replica::arm_request_timer() {
       backlog_.clear();
       return;
     }
-    const SimTime now2 = network_.simulator().now();
+    const SimTime now2 = transport_.timers().now();
     bool starved = false;
     for (const auto& [key, entry] : backlog_) {
       (void)key;
-      if (now2 - entry.since >= config_.request_timeout) starved = true;
+      if (now2 - entry.since >= kRequestTimeout) starved = true;
     }
     if (starved) {
       QSEL_LOG(kInfo, "bchain") << "p" << self() << " blames head p"
@@ -130,7 +125,7 @@ void Replica::arm_request_timer() {
       // blamed): without it the timer would re-arm with zero delay.
       for (auto& [key, entry] : backlog_) {
         (void)key;
-        entry.since = network_.simulator().now();
+        entry.since = transport_.timers().now();
       }
     }
     arm_request_timer();
@@ -141,8 +136,8 @@ void Replica::blame(ProcessId culprit) {
   if (blamed_.contains(culprit)) return;
   const auto msg = ReconfigMessage::make(signer_, reconfigurations() + 1,
                                          culprit);
-  network_.broadcast(self(), ProcessSet::full(config_.n) - ProcessSet{self()},
-                     msg);
+  transport_.broadcast(ProcessSet::full(config_.n) - ProcessSet{self()},
+                       msg);
   handle_reconfig(msg);
 }
 
@@ -154,18 +149,18 @@ void Replica::forward_down(const std::shared_ptr<const ChainMessage>& msg) {
     slot.acked_epoch = msg->config_epoch;
     const ProcessId prev = predecessor();
     if (prev != kNoProcess)
-      network_.send(self(), prev,
-                    AckMessage::make(signer_, msg->config_epoch, msg->slot));
+      transport_.send(prev,
+                      AckMessage::make(signer_, msg->config_epoch, msg->slot));
     try_execute();
     return;
   }
-  network_.send(self(), next, msg);
+  transport_.send(next, msg);
   // Watch for the ACK; a missing ACK means someone below us in the chain
   // failed — blame the successor (all this node can observe).
   const SeqNum slot_no = msg->slot;
   const std::uint64_t epoch_at_send = msg->config_epoch;
   slot.ack_timer.cancel();
-  slot.ack_timer = network_.simulator().schedule_timer(
+  slot.ack_timer = transport_.timers().schedule_timer(
       config_.ack_timeout, [this, slot_no, epoch_at_send] {
         if (epoch_at_send != reconfigurations() + 1) return;  // stale config
         const auto it = log_.find(slot_no);
@@ -204,8 +199,8 @@ void Replica::handle_ack(const std::shared_ptr<const AckMessage>& msg) {
   it->second.ack_timer.cancel();
   const ProcessId prev = predecessor();
   if (prev != kNoProcess)
-    network_.send(self(), prev,
-                  AckMessage::make(signer_, msg->config_epoch, msg->slot));
+    transport_.send(prev,
+                    AckMessage::make(signer_, msg->config_epoch, msg->slot));
   try_execute();
 }
 
@@ -217,8 +212,8 @@ void Replica::handle_reconfig(
   blamed_.insert(msg->failed);
   // Forward-on-change so every replica converges on the same blamed set
   // regardless of arrival order (grow-only union).
-  network_.broadcast(self(), ProcessSet::full(config_.n) - ProcessSet{self()},
-                     msg);
+  transport_.broadcast(ProcessSet::full(config_.n) - ProcessSet{self()},
+                       msg);
   QSEL_LOG(kInfo, "bchain") << "p" << self() << " reconfig #"
                             << reconfigurations() << ": evicted p"
                             << msg->failed;
@@ -233,13 +228,13 @@ void Replica::handle_reconfig(
   }
   redrive_timer_.cancel();
   if (head() == self()) {
-    redrive_timer_ = network_.simulator().schedule_timer(
-        2 * network_.latency_bound(), [this] { redrive_as_head(); });
+    redrive_timer_ = transport_.timers().schedule_timer(
+        2 * transport_.round_length(), [this] { redrive_as_head(); });
   }
   // The new chain gets a fresh grace period for starving requests.
   for (auto& [key, entry] : backlog_) {
     (void)key;
-    entry.since = network_.simulator().now();
+    entry.since = transport_.timers().now();
   }
   request_timer_.cancel();
   arm_request_timer();
@@ -274,14 +269,14 @@ void Replica::try_execute() {
     const ChainMessage& m = *slot.chain_msg;
     const std::string result = store_.apply_encoded(m.op);
     ++requests_executed_;
-    executed_history_.push_back(ExecutedEntry{
+    executed_history_.push_back(smr::ExecutedEntry{
         it->first, m.client, m.client_seq, crypto::sha256(m.op)});
     results_[{m.client, m.client_seq}] = result;
     backlog_.erase({m.client, m.client_seq});
-    if (m.client >= config_.n && m.client < network_.process_count()) {
-      network_.send(self(), m.client,
-                    smr::ReplyMessage::make(signer_, reconfigurations(),
-                                            m.client, m.client_seq, result));
+    if (m.client >= config_.n && m.client < transport_.process_count()) {
+      transport_.send(m.client,
+                      smr::ReplyMessage::make(signer_, reconfigurations(),
+                                              m.client, m.client_seq, result));
     }
   }
 }

@@ -28,7 +28,7 @@
 #include "common/process_set.hpp"
 #include "common/types.hpp"
 #include "crypto/signer.hpp"
-#include "sim/network.hpp"
+#include "net/transport.hpp"
 #include "smr/client_messages.hpp"
 
 namespace qsel::bchain {
@@ -38,17 +38,19 @@ struct ReplicaConfig {
   int f = 1;
   /// How long a node waits for the ACK after forwarding a CHAIN message.
   SimDuration ack_timeout = 20'000'000;  // 20 ms
-  /// How long a chain member lets a buffered client request starve before
-  /// blaming the head.
-  SimDuration request_timeout = 40'000'000;  // 40 ms
 };
 
-class Replica final : public sim::Actor {
+class Replica final {
  public:
-  Replica(sim::Network& network, const crypto::KeyRegistry& keys,
-          ProcessId self, ReplicaConfig config);
+  /// Installs itself as `transport`'s handler; self() = transport.self(),
+  /// which must be a replica id (< config.n).
+  Replica(net::Transport& transport, const crypto::KeyRegistry& keys,
+          ReplicaConfig config);
 
-  void on_message(ProcessId from, const sim::PayloadPtr& message) override;
+  Replica(const Replica&) = delete;
+  Replica& operator=(const Replica&) = delete;
+
+  void on_message(ProcessId from, const sim::PayloadPtr& message);
 
   ProcessId self() const { return signer_.self(); }
   /// Monotone count of applied blames (the reconfiguration counter).
@@ -64,15 +66,8 @@ class Replica final : public sim::Actor {
   const app::KvStore& store() const { return store_; }
   SeqNum last_executed() const { return last_executed_; }
 
-  /// Executed history as (slot, client, client_seq, op digest) tuples, for
-  /// cross-replica consistency checks (same shape as xpaxos::Replica).
-  struct ExecutedEntry {
-    SeqNum slot;
-    std::uint32_t client;
-    std::uint64_t client_seq;
-    crypto::Digest op_digest;
-  };
-  const std::vector<ExecutedEntry>& executed_history() const {
+  /// Executed history, for cross-replica consistency checks.
+  const std::vector<smr::ExecutedEntry>& executed_history() const {
     return executed_history_;
   }
 
@@ -97,10 +92,12 @@ class Replica final : public sim::Actor {
   void forward_down(const std::shared_ptr<const ChainMessage>& msg);
   void arm_request_timer();
   void try_execute();
-  ProcessId successor() const;
-  ProcessId predecessor() const;
+  ProcessId successor() const { return chain_neighbour(chain_, self(), 1); }
+  ProcessId predecessor() const {
+    return chain_neighbour(chain_, self(), -1);
+  }
 
-  sim::Network& network_;
+  net::Transport& transport_;
   crypto::Signer signer_;
   ReplicaConfig config_;
 
@@ -112,7 +109,7 @@ class Replica final : public sim::Actor {
   SeqNum next_slot_ = 1;  // head only
   SeqNum last_executed_ = 0;
   std::uint64_t requests_executed_ = 0;
-  std::vector<ExecutedEntry> executed_history_;
+  std::vector<smr::ExecutedEntry> executed_history_;
   std::map<std::pair<std::uint32_t, std::uint64_t>, SeqNum> client_index_;
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::string> results_;
   struct BacklogEntry {

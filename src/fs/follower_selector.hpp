@@ -93,9 +93,16 @@ class FollowerSelector {
   /// by the embedded leader signature).
   void on_followers(const std::shared_ptr<const FollowersMessage>& msg);
 
-  /// Anti-entropy tick: re-broadcasts the own matrix row so state lost to
-  /// a dropped UPDATE is eventually re-offered (SuspicionCore::resync).
-  void resync() { core_.resync(); }
+  /// Anti-entropy tick: re-offers suspicion state lost to dropped
+  /// messages (SuspicionCore::resync), then re-broadcasts the current
+  /// announcement(). FOLLOWERS is one-shot like forward-on-change gossip,
+  /// so a broadcast lost to a partition would otherwise leave the
+  /// leader/quorum split forever after the heal; receivers absorb
+  /// duplicates without re-evaluating.
+  void resync() {
+    core_.resync();
+    if (auto msg = announcement(); msg != nullptr) hooks_.broadcast(msg);
+  }
 
   /// Attaches an event tracer to this selector and its suspicion core:
   /// <QUORUM, leader, Q> outputs (peer = leader), suspicion and UPDATE

@@ -62,14 +62,6 @@ LoopbackCluster::LoopbackCluster(LoopbackClusterConfig config)
 
 void LoopbackCluster::build_node(ProcessId id, std::uint16_t port,
                                  std::uint64_t tamper_seed) {
-  runtime::NodeProcessConfig node_config;
-  node_config.n = config_.n;
-  node_config.f = config_.f;
-  node_config.fd = config_.fd;
-  node_config.heartbeat_period = config_.heartbeat_period;
-  node_config.gossip = config_.gossip;
-  node_config.fanout = config_.fanout;
-
   TcpTransport::Config tcp;
   tcp.self = id;
   tcp.n = config_.n;
@@ -84,7 +76,10 @@ void LoopbackCluster::build_node(ProcessId id, std::uint16_t port,
       std::make_unique<TamperedTransport>(*transports_[id], tamper);
   if (partition_) tampers_[id]->partition(*partition_);
   processes_[id] = std::make_unique<runtime::NodeProcess>(
-      *tampers_[id], keys_, node_config, stores_[id].get());
+      *tampers_[id], keys_,
+      runtime::NodeProcessConfig{config_.n, config_.f, config_.fd,
+                                 config_.heartbeat_period},
+      stores_[id].get());
   if (tracer_ != nullptr) {
     transports_[id]->set_tracer(tracer_);
     processes_[id]->selector().set_tracer(tracer_);

@@ -61,11 +61,6 @@ struct LoopbackClusterConfig {
   /// stores: restart() still recovers, but state dies with the cluster.
   std::string store_root;
   BackoffConfig reconnect{};
-  /// Suspicion dissemination wire format (runtime/node_process.hpp).
-  suspect::GossipMode gossip = suspect::GossipMode::kDelta;
-  /// kDelta dissemination fanout cap; 0 = auto (uncapped for n <= 64,
-  /// 2*ceil(log2 n) beyond — suspicion_core.hpp).
-  ProcessId fanout = 0;
 };
 
 /// Maps a deployable ClusterConfig onto the loopback harness. Host:port

@@ -1,9 +1,9 @@
 // Transport — the substrate interface a protocol node runs on.
 //
-// The composed stack of Figure 1 (heartbeat application, failure detector,
-// suspicion CRDT, quorum selection — runtime::NodeProcess) is written
-// against this per-node interface instead of the global sim::Network, so
-// the SAME protocol code runs on two substrates:
+// Every protocol node (NodeProcess, FollowerProcess, the XPaxos, PBFT and
+// chain replicas — each Figure 1 stack around its runtime::SelectionPlane)
+// is written against this per-node interface instead of the global
+// sim::Network, so the SAME protocol code runs on two substrates:
 //
 //   runtime::SimTransport  — adapts one process's slot of the in-process
 //                            discrete-event Network (virtual time,

@@ -1,63 +1,14 @@
-// PbftCluster — the PBFT baseline wired over the simulated network, with
-// the same observation surface as xpaxos::Cluster so experiment E5 can
-// compare the two side by side.
+// pbft::Cluster — the PBFT baseline over the simulated network, with the
+// same observation surface as xpaxos::Cluster (runtime::SmrCluster), so
+// experiment E5 can compare the two side by side.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
-#include "common/process_set.hpp"
-#include "common/types.hpp"
-#include "crypto/signer.hpp"
 #include "pbft/replica.hpp"
-#include "runtime/sim_transport.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
-#include "smr/client.hpp"
+#include "runtime/smr_cluster.hpp"
 
 namespace qsel::pbft {
 
-struct ClusterConfig {
-  ProcessId n = 4;  // n = 3f + 1
-  int f = 1;
-  std::uint32_t clients = 1;
-  std::uint64_t seed = 1;
-  sim::NetworkConfig network;
-  SimDuration request_timeout = 40'000'000;
-  SimDuration client_retry = 50'000'000;
-  app::WorkloadConfig workload;
-};
-
-class Cluster {
- public:
-  explicit Cluster(ClusterConfig config, ProcessSet byzantine = {});
-
-  sim::Simulator& simulator() { return sim_; }
-  sim::Network& network() { return *network_; }
-  const crypto::KeyRegistry& keys() const { return keys_; }
-
-  Replica& replica(ProcessId id);
-  smr::Client& client(std::uint32_t index);
-
-  ProcessSet alive_replicas() const;
-  void start_clients(std::uint64_t requests_per_client);
-  std::uint64_t total_completed() const;
-  std::uint64_t total_view_changes() const;
-  /// True iff every pair of honest live replicas agrees on the common
-  /// prefix of its executed history (same check as xpaxos::Cluster).
-  bool histories_consistent() const;
-
- private:
-  ClusterConfig config_;
-  sim::Simulator sim_;
-  crypto::KeyRegistry keys_;
-  std::unique_ptr<sim::Network> network_;
-  ProcessSet honest_replicas_;
-  /// Client transports; declared before clients_ so clients die first.
-  std::vector<std::unique_ptr<runtime::SimTransport>> client_transports_;
-  std::vector<std::unique_ptr<Replica>> replicas_;
-  std::vector<std::unique_ptr<smr::Client>> clients_;
-};
+using ClusterConfig = runtime::SmrClusterConfig<ReplicaConfig>;
+using Cluster = runtime::SmrCluster<Replica, ReplicaConfig>;
 
 }  // namespace qsel::pbft

@@ -7,18 +7,20 @@
 
 namespace qsel::pbft {
 
-Replica::Replica(sim::Network& network, const crypto::KeyRegistry& keys,
-                 ProcessId self, ReplicaConfig config)
-    : network_(network), signer_(keys, self), config_(config) {
-  QSEL_REQUIRE(self < config.n);
+Replica::Replica(net::Transport& transport, const crypto::KeyRegistry& keys,
+                 ReplicaConfig config)
+    : transport_(transport), signer_(keys, transport.self()), config_(config) {
+  QSEL_REQUIRE(self() < config.n);
   QSEL_REQUIRE(config.f >= 1);
   QSEL_REQUIRE(config.n >= 3 * static_cast<ProcessId>(config.f) + 1);
+  transport_.set_handler([this](ProcessId from, const sim::PayloadPtr& msg) {
+    on_message(from, msg);
+  });
 }
 
 void Replica::broadcast_all(const sim::PayloadPtr& message) {
-  network_.broadcast(self(),
-                     ProcessSet::full(config_.n) - ProcessSet{self()},
-                     message);
+  transport_.broadcast(ProcessSet::full(config_.n) - ProcessSet{self()},
+                       message);
 }
 
 void Replica::on_message(ProcessId from, const sim::PayloadPtr& message) {
@@ -46,10 +48,10 @@ void Replica::handle_request(
   if (!request->verify(signer_)) return;
   const auto key = std::make_pair(request->client, request->client_seq);
   if (const auto it = results_.find(key); it != results_.end()) {
-    if (request->client < network_.process_count())
-      network_.send(self(), request->client,
-                    smr::ReplyMessage::make(signer_, view_, request->client,
-                                            request->client_seq, it->second));
+    if (request->client < transport_.process_count())
+      transport_.send(request->client,
+                      smr::ReplyMessage::make(signer_, view_, request->client,
+                                              request->client_seq, it->second));
     return;
   }
   if (client_index_.contains(key)) return;  // already in the pipeline
@@ -60,21 +62,21 @@ void Replica::handle_request(
   // Backup: buffer and watch the primary. If the request does not execute
   // before the timer fires, the primary is suspected at quorum granularity
   // and a view change starts.
-  backlog_.emplace(key, BacklogEntry{request, network_.simulator().now()});
+  backlog_.emplace(key, BacklogEntry{request, transport_.timers().now()});
   arm_request_timer();
 }
 
 void Replica::arm_request_timer() {
   if (request_timer_.active() || backlog_.empty()) return;
-  SimTime oldest = network_.simulator().now();
+  SimTime oldest = transport_.timers().now();
   for (const auto& [key, entry] : backlog_) {
     (void)key;
     oldest = std::min(oldest, entry.since);
   }
   const SimTime deadline = oldest + config_.request_timeout;
-  const SimTime now = network_.simulator().now();
+  const SimTime now = transport_.timers().now();
   const SimDuration delay = deadline > now ? deadline - now : 1;
-  request_timer_ = network_.simulator().schedule_timer(delay, [this] {
+  request_timer_ = transport_.timers().schedule_timer(delay, [this] {
     // Drop satisfied entries first.
     for (auto it = backlog_.begin(); it != backlog_.end();) {
       if (results_.contains(it->first) || client_index_.contains(it->first)) {
@@ -84,7 +86,7 @@ void Replica::arm_request_timer() {
       }
     }
     if (backlog_.empty()) return;
-    const SimTime now2 = network_.simulator().now();
+    const SimTime now2 = transport_.timers().now();
     bool starved = false;
     for (const auto& [key, entry] : backlog_) {
       (void)key;
@@ -181,15 +183,15 @@ void Replica::try_execute() {
       result = store_.apply_encoded(p.op);
       ++requests_executed_;
     }
-    executed_history_.push_back(
-        ExecutedEntry{p.slot, p.client, p.client_seq, crypto::sha256(p.op)});
+    executed_history_.push_back(smr::ExecutedEntry{
+        p.slot, p.client, p.client_seq, crypto::sha256(p.op)});
     results_[{p.client, p.client_seq}] = result;
     backlog_.erase({p.client, p.client_seq});
     if (!noop && p.client >= config_.n &&
-        p.client < network_.process_count()) {
-      network_.send(self(), p.client,
-                    smr::ReplyMessage::make(signer_, view_, p.client,
-                                            p.client_seq, result));
+        p.client < transport_.process_count()) {
+      transport_.send(p.client,
+                      smr::ReplyMessage::make(signer_, view_, p.client,
+                                              p.client_seq, result));
     }
   }
 }
@@ -224,7 +226,7 @@ void Replica::start_view_change(ViewId target) {
   // backlog timer fires again and moves on — after a fresh grace period.
   for (auto& [key, entry] : backlog_) {
     (void)key;
-    entry.since = network_.simulator().now();
+    entry.since = transport_.timers().now();
   }
   request_timer_.cancel();
   arm_request_timer();

@@ -27,7 +27,7 @@
 #include "common/types.hpp"
 #include "crypto/signer.hpp"
 #include "pbft/messages.hpp"
-#include "sim/network.hpp"
+#include "net/transport.hpp"
 #include "smr/client_messages.hpp"
 
 namespace qsel::pbft {
@@ -40,12 +40,17 @@ struct ReplicaConfig {
   SimDuration request_timeout = 40'000'000;  // 40 ms
 };
 
-class Replica final : public sim::Actor {
+class Replica final {
  public:
-  Replica(sim::Network& network, const crypto::KeyRegistry& keys,
-          ProcessId self, ReplicaConfig config);
+  /// Installs itself as `transport`'s handler; self() = transport.self(),
+  /// which must be a replica id (< config.n).
+  Replica(net::Transport& transport, const crypto::KeyRegistry& keys,
+          ReplicaConfig config);
 
-  void on_message(ProcessId from, const sim::PayloadPtr& message) override;
+  Replica(const Replica&) = delete;
+  Replica& operator=(const Replica&) = delete;
+
+  void on_message(ProcessId from, const sim::PayloadPtr& message);
 
   ProcessId self() const { return signer_.self(); }
   ViewId view() const { return view_; }
@@ -71,15 +76,8 @@ class Replica final : public sim::Actor {
   std::uint64_t view_changes() const { return view_changes_; }
   std::uint64_t requests_executed() const { return requests_executed_; }
 
-  /// Executed history as (slot, client, client_seq, op digest) tuples, for
-  /// cross-replica consistency checks (same shape as xpaxos::Replica).
-  struct ExecutedEntry {
-    SeqNum slot;
-    std::uint32_t client;
-    std::uint64_t client_seq;
-    crypto::Digest op_digest;
-  };
-  const std::vector<ExecutedEntry>& executed_history() const {
+  /// Executed history, for cross-replica consistency checks.
+  const std::vector<smr::ExecutedEntry>& executed_history() const {
     return executed_history_;
   }
 
@@ -107,7 +105,7 @@ class Replica final : public sim::Actor {
   void broadcast_all(const sim::PayloadPtr& message);
   std::vector<PrePrepareMessage> prepared_log() const;
 
-  sim::Network& network_;
+  net::Transport& transport_;
   crypto::Signer signer_;
   ReplicaConfig config_;
 
@@ -120,7 +118,7 @@ class Replica final : public sim::Actor {
   SeqNum next_slot_ = 1;
   SeqNum last_executed_ = 0;
   std::uint64_t requests_executed_ = 0;
-  std::vector<ExecutedEntry> executed_history_;
+  std::vector<smr::ExecutedEntry> executed_history_;
 
   std::map<std::pair<std::uint32_t, std::uint64_t>, SeqNum> client_index_;
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::string> results_;

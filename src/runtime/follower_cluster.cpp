@@ -1,45 +1,22 @@
 #include "runtime/follower_cluster.hpp"
 
 #include "common/assert.hpp"
+#include "runtime/heartbeat.hpp"
 
 namespace qsel::runtime {
 
-FollowerProcess::FollowerProcess(sim::Network& network,
+FollowerProcess::FollowerProcess(net::Transport& transport,
                                  const crypto::KeyRegistry& keys,
-                                 ProcessId self,
-                                 const FollowerClusterConfig& config)
-    : network_(network),
-      signer_(keys, self),
+                                 const NodeProcessConfig& config)
+    : transport_(transport),
+      signer_(keys, transport.self()),
       heartbeat_period_(config.heartbeat_period),
-      fd_(network.simulator(), self, config.n, config.fd,
-          [this](ProcessSet suspects) { selector_.on_suspected(suspects); }),
-      selector_(
-          signer_,
-          fs::FollowerSelectorConfig{config.n, config.f, config.gossip,
-                                     config.fanout},
-          fs::FollowerSelector::Hooks{
-              [](ProcessId, ProcessSet) { /* application consumes quorum */ },
-              [this](sim::PayloadPtr msg) { broadcast_others(msg); },
-              [this](ProcessId leader, Epoch epoch) {
-                fd_.expect(
-                    leader,
-                    [epoch](ProcessId, const sim::PayloadPtr& m) {
-                      auto* followers =
-                          dynamic_cast<const fs::FollowersMessage*>(m.get());
-                      return followers != nullptr && followers->epoch == epoch;
-                    },
-                    "followers", /*backoff_on_cancel=*/true);
-              },
-              [this] { fd_.cancel_all(); },
-              [this](ProcessId culprit) { fd_.detected(culprit); },
-              [this](ProcessId to, sim::PayloadPtr msg) {
-                network_.send(signer_.self(), to, msg);
-              }}) {}
-
-void FollowerProcess::broadcast_others(const sim::PayloadPtr& message) {
-  network_.broadcast(
-      self(), ProcessSet::full(network_.process_count()) - ProcessSet{self()},
-      message);
+      plane_(transport, signer_,
+             {config.n, config.f, config.fd, suspect::GossipMode::kDelta},
+             [](ProcessId, ProcessSet) { /* application consumes quorum */ }) {
+  transport_.set_handler([this](ProcessId from, const sim::PayloadPtr& msg) {
+    on_message(from, msg);
+  });
 }
 
 void FollowerProcess::start() {
@@ -49,111 +26,51 @@ void FollowerProcess::start() {
 
 void FollowerProcess::tick() {
   const auto heartbeat = HeartbeatMessage::make(signer_, heartbeat_seq_++);
-  const ProcessId lead = selector_.leader();
+  const ProcessId lead = selector().leader();
   if (lead == self()) {
     // The leader heartbeats everyone and expects heartbeats back from its
     // quorum (the processes whose liveness the application depends on).
-    broadcast_others(heartbeat);
-    for (ProcessId peer : selector_.quorum()) {
-      if (peer == self() || fd_.suspected().contains(peer)) continue;
-      fd_.expect(peer,
-                 [](ProcessId, const sim::PayloadPtr& m) {
-                   return dynamic_cast<const HeartbeatMessage*>(m.get()) !=
-                          nullptr;
-                 },
-                 "heartbeat");
-    }
+    transport_.broadcast(plane_.others(), heartbeat);
+    for (ProcessId peer : selector().quorum())
+      if (peer != self()) expect_heartbeat(plane_.failure_detector(), peer);
   } else {
     // Followers (and bystanders) heartbeat the leader and expect the
     // leader's heartbeat; they do not monitor each other.
-    network_.send(self(), lead, heartbeat);
-    if (!fd_.suspected().contains(lead)) {
-      fd_.expect(lead,
-                 [](ProcessId, const sim::PayloadPtr& m) {
-                   return dynamic_cast<const HeartbeatMessage*>(m.get()) !=
-                          nullptr;
-                 },
-                 "heartbeat");
-    }
+    transport_.send(lead, heartbeat);
+    expect_heartbeat(plane_.failure_detector(), lead);
   }
-  // Anti-entropy: forward-on-change UPDATE gossip and the one-shot
-  // FOLLOWERS broadcast are both reliable only over reliable links, so a
-  // message lost to a partition would otherwise leave matrices (and with
-  // them leader/quorum state) split forever after the heal. Re-offering
-  // the own row and the current announcement makes both propagation paths
-  // self-healing; receivers absorb duplicates without re-forwarding or
-  // re-evaluating.
-  maybe_resync();
-  network_.simulator().schedule_after(heartbeat_period_, [this] { tick(); });
-}
-
-void FollowerProcess::maybe_resync() {
-  const auto resync = [this] {
-    selector_.resync();
-    if (auto announcement = selector_.announcement(); announcement != nullptr)
-      broadcast_others(announcement);
-  };
-  if (network_.process_count() <= 64) {
-    // The historical fixed cadence, bit-for-bit.
-    if (heartbeat_seq_ % 16 == 0) resync();
-    return;
-  }
-  if (++ticks_since_resync_ < resync_interval_) return;
-  ticks_since_resync_ = 0;
-  const suspect::SuspicionCore& core = selector_.core();
-  const std::uint64_t churn =
-      core.updates_forwarded() + core.repairs_sent() + core.epoch_advances();
-  resync_interval_ = churn != last_churn_marker_
-                         ? std::max<std::uint64_t>(4, resync_interval_ / 2)
-                         : std::min<std::uint64_t>(64, resync_interval_ * 2);
-  last_churn_marker_ = churn;
-  resync();
+  plane_.tick();
+  transport_.timers().schedule_after(heartbeat_period_,
+                                     plane_.guard([this] { tick(); }));
 }
 
 void FollowerProcess::on_message(ProcessId from,
                                  const sim::PayloadPtr& message) {
-  if (auto update =
-          std::dynamic_pointer_cast<const suspect::UpdateMessage>(message)) {
-    if (!update->verify(signer_, network_.process_count())) return;
-    fd_.on_receive(from, message);
-    selector_.on_update(update);
-    return;
-  }
-  if (auto delta = std::dynamic_pointer_cast<const suspect::DeltaUpdateMessage>(
-          message)) {
-    if (!delta->verify(signer_, network_.process_count())) return;
-    fd_.on_receive(from, message);
-    selector_.on_delta(delta);
-    return;
-  }
-  if (auto digests =
-          std::dynamic_pointer_cast<const suspect::RowDigestMessage>(message)) {
-    selector_.on_row_digests(from, *digests);
-    return;
-  }
+  if (plane_.on_message(from, message)) return;
+  fd::FailureDetector& fd = plane_.failure_detector();
   if (auto followers =
           std::dynamic_pointer_cast<const fs::FollowersMessage>(message)) {
-    if (!followers->verify(signer_, network_.process_count())) return;
+    if (!followers->verify(signer_, plane_.n())) return;
     // The expectation targets the leader that signed the message, not the
     // forwarder it happened to arrive from.
-    fd_.on_receive(followers->leader, message);
-    selector_.on_followers(followers);
+    fd.on_receive(followers->leader, message);
+    selector().on_followers(followers);
     return;
   }
   if (auto heartbeat =
           std::dynamic_pointer_cast<const HeartbeatMessage>(message)) {
-    if (!heartbeat->verify(signer_, network_.process_count())) return;
-    fd_.on_receive(heartbeat->origin, message);
+    if (!heartbeat->verify(signer_, plane_.n())) return;
+    fd.on_receive(heartbeat->origin, message);
     // Every process heartbeats the leader it believes in, so a heartbeat
     // reaching the stable leader from outside its quorum marks a sender
     // whose view may be stale (it missed the FOLLOWERS broadcast, e.g.
     // across a partition). Retransmit the announcement verbatim so one
     // lost broadcast cannot wedge the sender forever; duplicates are
     // idempotent and never read as equivocation.
-    if (auto announcement = selector_.announcement();
+    if (auto announcement = selector().announcement();
         announcement != nullptr &&
-        !selector_.quorum().contains(heartbeat->origin))
-      network_.send(self(), heartbeat->origin, announcement);
+        !selector().quorum().contains(heartbeat->origin))
+      transport_.send(heartbeat->origin, announcement);
     return;
   }
 }
@@ -168,12 +85,15 @@ FollowerCluster::FollowerCluster(FollowerClusterConfig config,
       network_(std::make_unique<sim::Network>(sim_, config_.n, config_.network,
                                               config_.seed)),
       correct_(ProcessSet::full(config_.n) - byzantine),
+      transports_(config_.n),
       processes_(config_.n) {
   QSEL_REQUIRE(byzantine.is_subset_of(ProcessSet::full(config_.n)));
+  const NodeProcessConfig node_config{config_.n, config_.f, config_.fd,
+                                      config_.heartbeat_period};
   for (ProcessId id : correct_) {
+    transports_[id] = std::make_unique<SimTransport>(*network_, id);
     processes_[id] =
-        std::make_unique<FollowerProcess>(*network_, keys_, id, config_);
-    network_->attach(id, *processes_[id]);
+        std::make_unique<FollowerProcess>(*transports_[id], keys_, node_config);
   }
 }
 

@@ -19,58 +19,45 @@
 #include "crypto/signer.hpp"
 #include "fd/failure_detector.hpp"
 #include "fs/follower_selector.hpp"
-#include "runtime/heartbeat.hpp"
+#include "net/transport.hpp"
+#include "runtime/node_process.hpp"
+#include "runtime/quorum_cluster.hpp"
+#include "runtime/selection_plane.hpp"
+#include "runtime/sim_transport.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
 namespace qsel::runtime {
 
-struct FollowerClusterConfig {
-  ProcessId n = 4;
-  int f = 1;
-  std::uint64_t seed = 1;
-  sim::NetworkConfig network;  // fifo_links forced on by the cluster
-  fd::FailureDetectorConfig fd;
-  SimDuration heartbeat_period = 5'000'000;  // 0 disables heartbeats
-  /// Suspicion dissemination wire format (node_process.hpp).
-  suspect::GossipMode gossip = suspect::GossipMode::kDelta;
-  /// kDelta dissemination fanout cap; 0 = auto (uncapped for n <= 64,
-  /// 2*ceil(log2 n) beyond — suspicion_core.hpp).
-  ProcessId fanout = 0;
-};
+/// The QuorumCluster knobs; FollowerCluster forces network.fifo_links on.
+using FollowerClusterConfig = QuorumClusterConfig;
 
-class FollowerProcess final : public sim::Actor {
+/// One Follower Selection node over any net::Transport. Suspicions travel
+/// as delta gossip with digest anti-entropy, like NodeProcess; FOLLOWERS
+/// needs FIFO links (Section VIII), which TCP connections provide.
+class FollowerProcess {
  public:
-  FollowerProcess(sim::Network& network, const crypto::KeyRegistry& keys,
-                  ProcessId self, const FollowerClusterConfig& config);
+  FollowerProcess(net::Transport& transport, const crypto::KeyRegistry& keys,
+                  const NodeProcessConfig& config);
 
   void start();
-  void on_message(ProcessId from, const sim::PayloadPtr& message) override;
 
   ProcessId self() const { return signer_.self(); }
-  fs::FollowerSelector& selector() { return selector_; }
-  const fs::FollowerSelector& selector() const { return selector_; }
-  fd::FailureDetector& failure_detector() { return fd_; }
-  ProcessId leader() const { return selector_.leader(); }
-  ProcessSet quorum() const { return selector_.quorum(); }
-  const crypto::Signer& signer() const { return signer_; }
+  fs::FollowerSelector& selector() { return plane_.selector(); }
+  const fs::FollowerSelector& selector() const { return plane_.selector(); }
+  fd::FailureDetector& failure_detector() { return plane_.failure_detector(); }
+  ProcessId leader() const { return selector().leader(); }
+  ProcessSet quorum() const { return selector().quorum(); }
 
  private:
   void tick();
-  /// Same cadence policy as NodeProcess::maybe_resync(): fixed every-16th
-  /// tick for n <= 64, churn-adaptive interval in [4, 64] beyond.
-  void maybe_resync();
-  void broadcast_others(const sim::PayloadPtr& message);
+  void on_message(ProcessId from, const sim::PayloadPtr& message);
 
-  sim::Network& network_;
+  net::Transport& transport_;
   crypto::Signer signer_;
   SimDuration heartbeat_period_;
-  fd::FailureDetector fd_;
-  fs::FollowerSelector selector_;
+  SelectionPlane<fs::FollowerSelector> plane_;
   std::uint64_t heartbeat_seq_ = 0;
-  std::uint64_t resync_interval_ = 16;
-  std::uint64_t ticks_since_resync_ = 0;
-  std::uint64_t last_churn_marker_ = 0;
 };
 
 class FollowerCluster {
@@ -81,7 +68,6 @@ class FollowerCluster {
   sim::Simulator& simulator() { return sim_; }
   sim::Network& network() { return *network_; }
   const crypto::KeyRegistry& keys() const { return keys_; }
-  const FollowerClusterConfig& config() const { return config_; }
   ProcessSet correct() const { return correct_; }
 
   /// Honest processes that have not crashed.
@@ -107,6 +93,7 @@ class FollowerCluster {
   crypto::KeyRegistry keys_;
   std::unique_ptr<sim::Network> network_;
   ProcessSet correct_;
+  std::vector<std::unique_ptr<SimTransport>> transports_;  // index = id
   std::vector<std::unique_ptr<FollowerProcess>> processes_;
 };
 

@@ -27,4 +27,13 @@ bool HeartbeatMessage::verify(const crypto::Signer& verifier,
   return verifier.verify(signed_bytes(), sig);
 }
 
+void expect_heartbeat(fd::FailureDetector& fd, ProcessId peer) {
+  if (fd.suspected().contains(peer)) return;
+  fd.expect(peer,
+            [](ProcessId, const sim::PayloadPtr& m) {
+              return dynamic_cast<const HeartbeatMessage*>(m.get()) != nullptr;
+            },
+            "heartbeat");
+}
+
 }  // namespace qsel::runtime

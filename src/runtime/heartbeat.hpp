@@ -13,6 +13,7 @@
 
 #include "common/types.hpp"
 #include "crypto/signer.hpp"
+#include "fd/failure_detector.hpp"
 #include "sim/payload.hpp"
 
 namespace qsel::runtime {
@@ -30,5 +31,10 @@ struct HeartbeatMessage final : sim::Payload {
       const crypto::Signer& signer, std::uint64_t seq);
   bool verify(const crypto::Signer& verifier, ProcessId n) const;
 };
+
+/// Expects a heartbeat from `peer`, unless a suspicion against it is
+/// live: that suspicion only clears when a heartbeat arrives, which
+/// re-arms expectations on the next tick, so piling up more adds nothing.
+void expect_heartbeat(fd::FailureDetector& fd, ProcessId peer);
 
 }  // namespace qsel::runtime

@@ -1,11 +1,5 @@
 #include "runtime/node_process.hpp"
 
-#include <memory>
-#include <utility>
-
-#include "suspect/delta_update_message.hpp"
-#include "suspect/update_message.hpp"
-
 namespace qsel::runtime {
 
 NodeProcess::NodeProcess(net::Transport& transport,
@@ -14,44 +8,16 @@ NodeProcess::NodeProcess(net::Transport& transport,
                          store::NodeStore* store)
     : transport_(transport),
       signer_(keys, transport.self()),
-      n_(config.n),
       heartbeat_period_(config.heartbeat_period),
-      store_(store),
-      fd_(transport.timers(), transport.self(), config.n, config.fd,
-          // SUSPECTED arrives through the event queue, possibly after this
-          // process was destroyed on a restart — hence the alive guard.
-          [this, alive = alive_](ProcessSet suspects) {
-            if (*alive) selector_.on_suspected(suspects);
-          }),
-      selector_(signer_,
-                qs::QuorumSelectorConfig{config.n, config.f, config.gossip,
-                                         config.fanout},
-                qs::QuorumSelector::Hooks{
-                    [](ProcessSet) { /* application consumes the quorum */ },
-                    [this](sim::PayloadPtr msg) {
-                      transport_.broadcast(
-                          ProcessSet::full(n_) - ProcessSet{self()}, msg);
-                    },
-                    [this] { maybe_persist(); },
-                    [this](ProcessId to, sim::PayloadPtr msg) {
-                      transport_.send(to, std::move(msg));
-                    }}) {
+      plane_(transport, signer_,
+             {config.n, config.f, config.fd, suspect::GossipMode::kDelta,
+              store},
+             [](ProcessSet) { /* application consumes the quorum */ }) {
   transport_.set_handler([this](ProcessId from, const sim::PayloadPtr& msg) {
     on_message(from, msg);
   });
-  if (store_ != nullptr) {
-    if (const auto recovered = store_->recover()) {
-      // Timeouts first: restore() re-evaluates the quorum, and any epoch
-      // advance it triggers should persist a state that already includes
-      // the recovered timeouts.
-      fd_.restore_timeouts(recovered->fd_timeouts);
-      selector_.restore(recovered->epoch, recovered->own_row);
-    }
-    maybe_persist();  // first boot journals the initial state
-  }
+  plane_.recover();
 }
-
-NodeProcess::~NodeProcess() { *alive_ = false; }
 
 void NodeProcess::start() {
   if (heartbeat_period_ == 0) return;
@@ -63,108 +29,24 @@ void NodeProcess::stop() { stopped_ = true; }
 
 void NodeProcess::tick() {
   if (stopped_) return;
-  const ProcessSet others = ProcessSet::full(n_) - ProcessSet{self()};
+  const ProcessSet others = plane_.others();
   transport_.broadcast(others,
                        HeartbeatMessage::make(signer_, heartbeat_seq_++));
-  for (ProcessId peer : others) {
-    // While a suspicion against `peer` is live, piling up further
-    // expectations adds nothing: the suspicion only clears when a
-    // heartbeat arrives, which re-arms expectations on the next tick.
-    if (fd_.suspected().contains(peer)) continue;
-    fd_.expect(peer,
-               [](ProcessId, const sim::PayloadPtr& m) {
-                 return dynamic_cast<const HeartbeatMessage*>(m.get()) !=
-                        nullptr;
-               },
-               "heartbeat");
-  }
-  // Anti-entropy: forward-on-change gossip is reliable only over
-  // reliable links, so an UPDATE lost to a partition (or a TCP reconnect
-  // window) is never re-sent and matrices would stay split after the
-  // heal. Re-offering the known signed rows makes dissemination
-  // self-healing; receivers absorb duplicates without re-forwarding.
-  maybe_resync();
-  // Catch FD timeout adaptation, which has no write-ahead hook.
-  maybe_persist();
-  transport_.timers().schedule_after(
-      heartbeat_period_, [this, alive = alive_] {
-        if (*alive) tick();
-      });
-}
-
-void NodeProcess::maybe_resync() {
-  if (n_ <= 64) {
-    // The historical fixed cadence, bit-for-bit.
-    if (heartbeat_seq_ % 16 == 0) selector_.resync();
-    return;
-  }
-  if (++ticks_since_resync_ < resync_interval_) return;
-  ticks_since_resync_ = 0;
-  const suspect::SuspicionCore& core = selector_.core();
-  const std::uint64_t churn =
-      core.updates_forwarded() + core.repairs_sent() + core.epoch_advances();
-  resync_interval_ = churn != last_churn_marker_
-                         ? std::max<std::uint64_t>(4, resync_interval_ / 2)
-                         : std::min<std::uint64_t>(64, resync_interval_ * 2);
-  last_churn_marker_ = churn;
-  selector_.resync();
-}
-
-void NodeProcess::maybe_persist() {
-  if (store_ == nullptr) return;
-  // Dirty check before any O(n) work: the own-row version counter moves
-  // exactly when a cell of the own row increases, the FD generation
-  // exactly when a timeout adapts. Steady-state ticks exit here without
-  // copying the row or the timeout vector.
-  const auto row_version = selector_.matrix().row_version(self());
-  const Epoch epoch = selector_.epoch();
-  const std::uint64_t fd_generation = fd_.timeout_generation();
-  if (has_persisted_ && row_version == persisted_row_version_ &&
-      epoch == persisted_epoch_ && fd_generation == persisted_fd_generation_)
-    return;
-  store::DurableNodeState state;
-  state.epoch = epoch;
-  const auto row = selector_.matrix().row(self());
-  state.own_row.assign(row.begin(), row.end());
-  state.fd_timeouts = fd_.timeouts();
-  store_->persist(state);
-  persisted_row_version_ = row_version;
-  persisted_epoch_ = epoch;
-  persisted_fd_generation_ = fd_generation;
-  has_persisted_ = true;
+  for (ProcessId peer : others)
+    expect_heartbeat(plane_.failure_detector(), peer);
+  plane_.tick();
+  transport_.timers().schedule_after(heartbeat_period_,
+                                     plane_.guard([this] { tick(); }));
 }
 
 void NodeProcess::on_message(ProcessId from, const sim::PayloadPtr& message) {
-  // Authenticate, then feed the failure detector (RECEIVE/DELIVER) and
-  // dispatch to the module the message belongs to.
-  if (auto update =
-          std::dynamic_pointer_cast<const suspect::UpdateMessage>(message)) {
-    if (!update->verify(signer_, n_)) return;
-    fd_.on_receive(from, message);
-    selector_.on_update(update);
-    return;
-  }
-  if (auto delta = std::dynamic_pointer_cast<const suspect::DeltaUpdateMessage>(
-          message)) {
-    if (!delta->verify(signer_, n_)) return;
-    fd_.on_receive(from, message);
-    selector_.on_delta(delta);
-    return;
-  }
-  if (auto digests =
-          std::dynamic_pointer_cast<const suspect::RowDigestMessage>(message)) {
-    // Unsigned anti-entropy advice: never fed to the failure detector,
-    // and a lying digest costs at most bounded repair traffic
-    // (suspicion_core.hpp). The core re-checks well-formedness.
-    selector_.on_row_digests(from, *digests);
-    return;
-  }
+  if (plane_.on_message(from, message)) return;
   if (auto heartbeat =
           std::dynamic_pointer_cast<const HeartbeatMessage>(message)) {
-    if (!heartbeat->verify(signer_, n_)) return;
+    if (!heartbeat->verify(signer_, plane_.n())) return;
     // Expectations target the *origin*: a heartbeat only counts for the
     // process that signed it.
-    fd_.on_receive(heartbeat->origin, message);
+    plane_.failure_detector().on_receive(heartbeat->origin, message);
     return;
   }
   // Unknown payloads are ignored (Byzantine noise).

@@ -4,14 +4,15 @@
 // Stacks the paper's three modules — a heartbeat application issuing
 // expectations, the expectation-based failure detector, and the
 // QuorumSelector with its suspicion CRDT — behind the net::Transport
-// interface. The same class is instantiated over SimTransport by
-// QuorumCluster (virtual time, deterministic) and over TcpTransport by the
-// loopback harness and the qsel_node CLI (real sockets, wall-clock time);
-// the substrate only decides how messages and timer ticks arrive.
+// interface. The detector and the selector are the node's SelectionPlane;
+// this class is the heartbeat application. The same class is instantiated
+// over SimTransport by QuorumCluster (virtual time, deterministic) and over
+// TcpTransport by the loopback harness and the qsel_node CLI (real
+// sockets, wall-clock time); the substrate only decides how messages and
+// timer ticks arrive.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/process_set.hpp"
 #include "common/types.hpp"
@@ -20,10 +21,12 @@
 #include "net/transport.hpp"
 #include "qs/quorum_selector.hpp"
 #include "runtime/heartbeat.hpp"
+#include "runtime/selection_plane.hpp"
 #include "store/node_store.hpp"
 
 namespace qsel::runtime {
 
+/// One heartbeat node's stack: NodeProcess and FollowerProcess.
 struct NodeProcessConfig {
   ProcessId n = 4;
   int f = 1;
@@ -31,13 +34,6 @@ struct NodeProcessConfig {
   /// Heartbeat period; 0 disables the heartbeat application (experiments
   /// that inject suspicions directly).
   SimDuration heartbeat_period = 5'000'000;  // 5 ms
-  /// Suspicion dissemination wire format. The composed runtime defaults
-  /// to delta gossip with digest anti-entropy (DESIGN.md §11); kFullRow
-  /// reproduces the paper's unconditional full-row UPDATEs.
-  suspect::GossipMode gossip = suspect::GossipMode::kDelta;
-  /// kDelta dissemination fanout cap; 0 = auto (uncapped for n <= 64,
-  /// 2*ceil(log2 n) beyond — suspicion_core.hpp).
-  ProcessId fanout = 0;
 };
 
 class NodeProcess {
@@ -47,14 +43,14 @@ class NodeProcess {
   /// semantics — recovery is idempotent), and every subsequent change to
   /// that state is journaled *before* it is broadcast, so a crash can
   /// never have told peers something a restart forgets. The store must
-  /// outlive the process.
+  /// outlive the process. Suspicions travel as delta gossip with digest
+  /// anti-entropy (DESIGN.md §11).
+  ///
+  /// Safe to destroy with timer callbacks still queued (node restart):
+  /// the plane's liveness guard turns them into no-ops.
   NodeProcess(net::Transport& transport, const crypto::KeyRegistry& keys,
               const NodeProcessConfig& config,
               store::NodeStore* store = nullptr);
-
-  /// Safe to destroy with timer callbacks still queued (node restart):
-  /// pending ticks and FD events check the alive flag and no-op.
-  ~NodeProcess();
 
   NodeProcess(const NodeProcess&) = delete;
   NodeProcess& operator=(const NodeProcess&) = delete;
@@ -67,58 +63,21 @@ class NodeProcess {
   void stop();
 
   ProcessId self() const { return signer_.self(); }
-  qs::QuorumSelector& selector() { return selector_; }
-  const qs::QuorumSelector& selector() const { return selector_; }
-  fd::FailureDetector& failure_detector() { return fd_; }
-  ProcessSet quorum() const { return selector_.quorum(); }
-  const crypto::Signer& signer() const { return signer_; }
+  qs::QuorumSelector& selector() { return plane_.selector(); }
+  const qs::QuorumSelector& selector() const { return plane_.selector(); }
+  fd::FailureDetector& failure_detector() { return plane_.failure_detector(); }
+  ProcessSet quorum() const { return selector().quorum(); }
 
  private:
   void tick();
   void on_message(ProcessId from, const sim::PayloadPtr& message);
-  /// Journals the durable state when it differs from the last journaled
-  /// value. Wired as the selector's write-ahead hook (row/epoch changes)
-  /// and run once per tick (FD timeout adaptation has no hook; losing a
-  /// few doublings only costs re-adaptation, never safety).
-  void maybe_persist();
-  /// Digest anti-entropy cadence: the historical fixed every-16th-tick
-  /// resync for n <= 64 (small-system traces are pinned on it), an
-  /// adaptive interval beyond — churn (forwards, repairs, epoch moves)
-  /// since the last resync halves the interval down to 4 ticks, a quiet
-  /// interval doubles it up to 64, so big idle clusters pay digest
-  /// traffic rarely while healing partitions converge fast.
-  void maybe_resync();
 
   net::Transport& transport_;
   crypto::Signer signer_;
-  /// Protocol width: peers are ids 0..n_-1. The transport may expose a
-  /// wider id space (a GroupTransport with client slots); heartbeats,
-  /// gossip and row-width checks must not span those extra slots.
-  ProcessId n_;
   SimDuration heartbeat_period_;
-  store::NodeStore* store_;
-  /// Set false on destruction; captured (by shared_ptr) in every timer
-  /// callback so late firings against a destroyed process are no-ops.
-  /// Declared before fd_: its callback captures a copy.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-  fd::FailureDetector fd_;
-  qs::QuorumSelector selector_;
+  SelectionPlane<qs::QuorumSelector> plane_;
   std::uint64_t heartbeat_seq_ = 0;
-  /// Adaptive anti-entropy cadence (n > 64 only; see maybe_resync()):
-  /// ticks between digest resyncs, halved under churn, doubled when the
-  /// cluster is quiet, clamped to [4, 64].
-  std::uint64_t resync_interval_ = 16;
-  std::uint64_t ticks_since_resync_ = 0;
-  std::uint64_t last_churn_marker_ = 0;
   bool stopped_ = false;
-  /// Dirty markers for maybe_persist: the own-row version counter, epoch
-  /// and FD timeout generation together cover every field of
-  /// DurableNodeState, so an unchanged triple means the O(n) snapshot
-  /// build and store write can be skipped (the per-tick common case).
-  suspect::RowVersion persisted_row_version_ = 0;
-  Epoch persisted_epoch_ = 0;
-  std::uint64_t persisted_fd_generation_ = 0;
-  bool has_persisted_ = false;
 };
 
 }  // namespace qsel::runtime

@@ -14,20 +14,20 @@ QuorumCluster::QuorumCluster(QuorumClusterConfig config, ProcessSet byzantine)
       stores_(config.n),
       processes_(config.n) {
   QSEL_REQUIRE(byzantine.is_subset_of(ProcessSet::full(config.n)));
-  NodeProcessConfig node_config;
-  node_config.n = config.n;
-  node_config.f = config.f;
-  node_config.fd = config.fd;
-  node_config.heartbeat_period = config.heartbeat_period;
-  node_config.gossip = config.gossip;
-  node_config.fanout = config.fanout;
   for (ProcessId id : correct_) {
     transports_[id] = std::make_unique<SimTransport>(*network_, id);
     stores_[id] = std::make_unique<store::MemoryNodeStore>();
-    processes_[id] = std::make_unique<NodeProcess>(*transports_[id], keys_,
-                                                   node_config,
-                                                   stores_[id].get());
+    build_process(id);
   }
+}
+
+void QuorumCluster::build_process(ProcessId id) {
+  processes_[id] = std::make_unique<NodeProcess>(
+      *transports_[id], keys_,
+      NodeProcessConfig{config_.n, config_.f, config_.fd,
+                        config_.heartbeat_period},
+      stores_[id].get());
+  if (tracer_ != nullptr) processes_[id]->selector().set_tracer(tracer_);
 }
 
 NodeProcess& QuorumCluster::process(ProcessId id) {
@@ -49,21 +49,11 @@ void QuorumCluster::start() {
 void QuorumCluster::restart(ProcessId id) {
   QSEL_REQUIRE(id < config_.n && processes_[id] != nullptr);
   QSEL_REQUIRE_MSG(network_->is_crashed(id), "restart() needs a prior crash()");
-  NodeProcessConfig node_config;
-  node_config.n = config_.n;
-  node_config.f = config_.f;
-  node_config.fd = config_.fd;
-  node_config.heartbeat_period = config_.heartbeat_period;
-  node_config.gossip = config_.gossip;
-  node_config.fanout = config_.fanout;
   // Destroy-then-rebuild over the same transport slot and store: the new
   // process recovers in its constructor (join semantics — a second
   // recovery of the same store is a no-op) and re-registers its handler.
   processes_[id].reset();
-  processes_[id] = std::make_unique<NodeProcess>(*transports_[id], keys_,
-                                                 node_config,
-                                                 stores_[id].get());
-  if (tracer_ != nullptr) processes_[id]->selector().set_tracer(tracer_);
+  build_process(id);
   network_->restart(id);
   processes_[id]->start();
 }
@@ -98,13 +88,6 @@ std::uint64_t QuorumCluster::total_quorums_issued() const {
   for (ProcessId id : alive())
     total += processes_[id]->selector().quorums_issued();
   return total;
-}
-
-std::uint64_t QuorumCluster::max_quorums_issued() const {
-  std::uint64_t most = 0;
-  for (ProcessId id : alive())
-    most = std::max(most, processes_[id]->selector().quorums_issued());
-  return most;
 }
 
 }  // namespace qsel::runtime

@@ -37,16 +37,7 @@ struct QuorumClusterConfig {
   /// Heartbeat period; 0 disables the heartbeat application (experiments
   /// that inject suspicions directly).
   SimDuration heartbeat_period = 5'000'000;  // 5 ms
-  /// Suspicion dissemination wire format (node_process.hpp).
-  suspect::GossipMode gossip = suspect::GossipMode::kDelta;
-  /// kDelta dissemination fanout cap; 0 = auto (uncapped for n <= 64,
-  /// 2*ceil(log2 n) beyond — suspicion_core.hpp).
-  ProcessId fanout = 0;
 };
-
-/// Historical name: the per-process stack now lives in NodeProcess (it is
-/// substrate-independent); cluster-facing code keeps the old name.
-using QuorumProcess = NodeProcess;
 
 class QuorumCluster {
  public:
@@ -58,7 +49,6 @@ class QuorumCluster {
   sim::Simulator& simulator() { return sim_; }
   sim::Network& network() { return *network_; }
   const crypto::KeyRegistry& keys() const { return keys_; }
-  const QuorumClusterConfig& config() const { return config_; }
 
   /// Ids running honest NodeProcesses (including any that crashed later).
   ProcessSet correct() const { return correct_; }
@@ -94,10 +84,10 @@ class QuorumCluster {
   /// Sum of quorums issued across honest processes.
   std::uint64_t total_quorums_issued() const;
 
-  /// Maximum quorums issued by any single honest process.
-  std::uint64_t max_quorums_issued() const;
-
  private:
+  /// (Re)builds the process over id's transport slot and store.
+  void build_process(ProcessId id);
+
   QuorumClusterConfig config_;
   sim::Simulator sim_;
   crypto::KeyRegistry keys_;

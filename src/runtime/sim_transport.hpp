@@ -1,12 +1,13 @@
 // SimTransport — one process's view of the simulated network as a
 // net::Transport.
 //
-// Adapts (sim::Network&, self) to the per-node Transport interface that
-// runtime::NodeProcess is written against. Delivery stays synchronous with
-// the simulator's event loop: the adapter registers itself as the
-// process's sim::Actor and forwards on_message straight into the handler,
-// so a NodeProcess over SimTransport produces exactly the event order the
-// pre-refactor QuorumProcess did (the pinned-digest corpus depends on it).
+// Adapts (sim::Network&, self) to the per-node Transport interface every
+// protocol node is written against. Delivery stays synchronous with the
+// simulator's event loop: the adapter registers itself as the process's
+// sim::Actor (the only one in src/) and forwards on_message straight into
+// the handler, so a node over SimTransport produces exactly the event
+// order of a node attached to the network directly (the pinned-digest
+// corpus depends on it).
 #pragma once
 
 #include "net/transport.hpp"

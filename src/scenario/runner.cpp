@@ -207,12 +207,8 @@ class MuxQuorumCluster {
     for (ProcessId id = schedule.n; id < total_; ++id)
       spec.clients.push_back(id);
 
-    runtime::NodeProcessConfig node_config;
-    node_config.n = config.n;
-    node_config.f = config.f;
-    node_config.fd = config.fd;
-    node_config.heartbeat_period = config.heartbeat_period;
-    node_config.gossip = config.gossip;
+    const runtime::NodeProcessConfig node_config{
+        config.n, config.f, config.fd, config.heartbeat_period};
     for (ProcessId id = 0; id < schedule.n; ++id) {
       transports_.push_back(
           std::make_unique<runtime::SimTransport>(*network_, id));
@@ -273,44 +269,8 @@ class MuxQuorumCluster {
   std::vector<std::unique_ptr<runtime::NodeProcess>> processes_;
 };
 
-/// Shared tail of both quorum-selection variants: replay the timeline,
-/// observe every correct NodeProcess, check oracles.
-template <class Cluster>
-RunResult run_qs_tail(const Schedule& schedule, const RunOptions& options,
-                      trace::Tracer& tracer, Cluster& cluster,
-                      ActionApplier& applier) {
-  run_timeline(schedule, cluster.simulator(), applier);
-  cluster.simulator().run_until(schedule.quiet_start);
-
-  RunResult result;
-  Observations obs;
-  obs.issued_at_quiet = cluster.total_quorums_issued();
-  cluster.simulator().run_until(schedule.quiet_start + schedule.quiet_window);
-  obs.issued_at_end = cluster.total_quorums_issued();
-
-  const ProcessSet culprits = schedule.culprits();
-  for (ProcessId id : cluster.correct()) {
-    runtime::NodeProcess& process = cluster.process(id);
-    ProcessObservation po;
-    po.id = id;
-    po.alive = !cluster.network().is_crashed(id);
-    po.culprit = culprits.contains(id);
-    po.quorum = process.quorum();
-    po.suspected = process.failure_detector().suspected();
-    po.epoch = process.selector().epoch();
-    po.quorums_issued = process.selector().quorums_issued();
-    po.quorums_per_epoch = per_epoch_counts(process.selector().history());
-    po.matrix = process.selector().matrix();
-    result.max_epoch = std::max(result.max_epoch, po.epoch);
-    result.total_quorums += po.quorums_issued;
-    obs.processes.push_back(std::move(po));
-  }
-  finish(schedule, options, cluster, tracer, obs, result);
-  return result;
-}
-
-RunResult run_quorum_selection(const Schedule& schedule,
-                               const RunOptions& options) {
+/// Cluster configuration shared by the selection-only protocols.
+runtime::QuorumClusterConfig selection_config(const Schedule& schedule) {
   runtime::QuorumClusterConfig config;
   config.n = schedule.n;
   config.f = schedule.f;
@@ -318,45 +278,16 @@ RunResult run_quorum_selection(const Schedule& schedule,
   config.network = network_config(schedule);
   config.fd.initial_timeout = fd_timeout_for(schedule);
   config.heartbeat_period = schedule.heartbeat_period;
-
-  trace::Tracer tracer(tracer_config(options));
-  if (schedule.mux_clients == 0) {
-    runtime::QuorumCluster cluster(config, schedule.byzantine);
-    if (options.trace) cluster.attach_tracer(tracer);
-    cluster.start();
-    ActionApplier applier(
-        cluster.network(), cluster.keys(), cluster.correct(), schedule.n,
-        [&cluster](ProcessId id) { cluster.restart(id); });
-    return run_qs_tail(schedule, options, tracer, cluster, applier);
-  }
-  MuxQuorumCluster cluster(schedule, config);
-  if (options.trace) cluster.attach_tracer(tracer);
-  cluster.start();
-  ActionApplier applier(
-      cluster.network(), cluster.keys(), cluster.correct(), schedule.n, {},
-      [&cluster](ProcessId from, ProcessId to, sim::PayloadPtr message) {
-        cluster.group(from).send(to, std::move(message));
-      });
-  return run_qs_tail(schedule, options, tracer, cluster, applier);
+  return config;
 }
 
-RunResult run_follower_selection(const Schedule& schedule,
-                                 const RunOptions& options) {
-  runtime::FollowerClusterConfig config;
-  config.n = schedule.n;
-  config.f = schedule.f;
-  config.seed = schedule.seed;
-  config.network = network_config(schedule);
-  config.fd.initial_timeout = fd_timeout_for(schedule);
-  config.heartbeat_period = schedule.heartbeat_period;
-
-  trace::Tracer tracer(tracer_config(options));
-  runtime::FollowerCluster cluster(config, schedule.byzantine);
-  if (options.trace) cluster.attach_tracer(tracer);
-  cluster.start();
-
-  ActionApplier applier(cluster.network(), cluster.keys(), cluster.correct(),
-                        schedule.n);
+/// Shared tail of the selection-only protocols (Quorum Selection, plain or
+/// behind a GroupMux, and Follower Selection): replay the timeline,
+/// observe every correct process, check oracles.
+template <class Cluster>
+RunResult run_selection_tail(const Schedule& schedule,
+                             const RunOptions& options, trace::Tracer& tracer,
+                             Cluster& cluster, ActionApplier& applier) {
   run_timeline(schedule, cluster.simulator(), applier);
   cluster.simulator().run_until(schedule.quiet_start);
 
@@ -368,13 +299,13 @@ RunResult run_follower_selection(const Schedule& schedule,
 
   const ProcessSet culprits = schedule.culprits();
   for (ProcessId id : cluster.correct()) {
-    runtime::FollowerProcess& process = cluster.process(id);
+    auto& process = cluster.process(id);
     ProcessObservation po;
     po.id = id;
     po.alive = !cluster.network().is_crashed(id);
     po.culprit = culprits.contains(id);
     po.quorum = process.quorum();
-    po.leader = process.leader();
+    if constexpr (requires { process.leader(); }) po.leader = process.leader();
     po.suspected = process.failure_detector().suspected();
     po.epoch = process.selector().epoch();
     po.quorums_issued = process.selector().quorums_issued();
@@ -388,72 +319,50 @@ RunResult run_follower_selection(const Schedule& schedule,
   return result;
 }
 
-RunResult run_xpaxos(const Schedule& schedule, const RunOptions& options) {
-  xpaxos::ClusterConfig config;
-  config.n = schedule.n;
-  config.f = schedule.f;
-  config.policy = xpaxos::QuorumPolicy::kQuorumSelection;
-  config.clients = 1;
-  config.seed = schedule.seed;
-  config.network = network_config(schedule);
-  config.fd.initial_timeout = fd_timeout_for(schedule);
-
+RunResult run_quorum_selection(const Schedule& schedule,
+                               const RunOptions& options) {
+  const auto config = selection_config(schedule);
   trace::Tracer tracer(tracer_config(options));
-  xpaxos::Cluster cluster(config);
-  if (options.trace) {
-    tracer.set_clock(
-        [&sim = cluster.simulator()] { return sim.now(); });
-    cluster.network().set_tracer(&tracer);
+  if (schedule.mux_clients == 0) {
+    runtime::QuorumCluster cluster(config, schedule.byzantine);
+    if (options.trace) cluster.attach_tracer(tracer);
+    cluster.start();
+    ActionApplier applier(
+        cluster.network(), cluster.keys(), cluster.correct(), schedule.n,
+        [&cluster](ProcessId id) { cluster.restart(id); });
+    return run_selection_tail(schedule, options, tracer, cluster, applier);
   }
-  cluster.start_clients(schedule.requests);
-
-  ActionApplier applier(cluster.network(), cluster.keys(), {}, schedule.n);
-  run_timeline(schedule, cluster.simulator(), applier);
-  cluster.simulator().run_until(schedule.quiet_start);
-
-  RunResult result;
-  Observations obs;
-  cluster.simulator().run_until(schedule.quiet_start + schedule.quiet_window);
-  obs.histories_consistent = cluster.histories_consistent();
-  obs.completed_requests = cluster.total_completed();
-  obs.view_changes = cluster.total_view_changes();
-  finish(schedule, options, cluster, tracer, obs, result);
-  return result;
+  MuxQuorumCluster cluster(schedule, config);
+  if (options.trace) cluster.attach_tracer(tracer);
+  cluster.start();
+  ActionApplier applier(
+      cluster.network(), cluster.keys(), cluster.correct(), schedule.n, {},
+      [&cluster](ProcessId from, ProcessId to, sim::PayloadPtr message) {
+        cluster.group(from).send(to, std::move(message));
+      });
+  return run_selection_tail(schedule, options, tracer, cluster, applier);
 }
 
-RunResult run_pbft(const Schedule& schedule, const RunOptions& options) {
-  pbft::ClusterConfig config;
-  config.n = schedule.n;
-  config.f = schedule.f;
-  config.clients = 1;
-  config.seed = schedule.seed;
-  config.network = network_config(schedule);
-
+RunResult run_follower_selection(const Schedule& schedule,
+                                 const RunOptions& options) {
   trace::Tracer tracer(tracer_config(options));
-  pbft::Cluster cluster(config);
-  if (options.trace) {
-    tracer.set_clock(
-        [&sim = cluster.simulator()] { return sim.now(); });
-    cluster.network().set_tracer(&tracer);
-  }
-  cluster.start_clients(schedule.requests);
-
-  ActionApplier applier(cluster.network(), cluster.keys(), {}, schedule.n);
-  run_timeline(schedule, cluster.simulator(), applier);
-  cluster.simulator().run_until(schedule.quiet_start);
-
-  RunResult result;
-  Observations obs;
-  cluster.simulator().run_until(schedule.quiet_start + schedule.quiet_window);
-  obs.histories_consistent = cluster.histories_consistent();
-  obs.completed_requests = cluster.total_completed();
-  obs.view_changes = cluster.total_view_changes();
-  finish(schedule, options, cluster, tracer, obs, result);
-  return result;
+  runtime::FollowerCluster cluster(selection_config(schedule),
+                                   schedule.byzantine);
+  if (options.trace) cluster.attach_tracer(tracer);
+  cluster.start();
+  ActionApplier applier(cluster.network(), cluster.keys(), cluster.correct(),
+                        schedule.n);
+  return run_selection_tail(schedule, options, tracer, cluster, applier);
 }
 
-RunResult run_bchain(const Schedule& schedule, const RunOptions& options) {
-  bchain::ClusterConfig config;
+/// The SMR bake-off (XPaxos, PBFT, BChain): one client issuing
+/// schedule.requests against the fault timeline, then history consistency,
+/// completed requests and `view_changes` — each protocol's own count of
+/// view changes or reconfigurations.
+template <class Cluster>
+RunResult run_smr(const Schedule& schedule, const RunOptions& options,
+                  typename Cluster::Config config,
+                  std::uint64_t (Cluster::*view_changes)() const) {
   config.n = schedule.n;
   config.f = schedule.f;
   config.clients = 1;
@@ -461,12 +370,8 @@ RunResult run_bchain(const Schedule& schedule, const RunOptions& options) {
   config.network = network_config(schedule);
 
   trace::Tracer tracer(tracer_config(options));
-  bchain::Cluster cluster(config);
-  if (options.trace) {
-    tracer.set_clock(
-        [&sim = cluster.simulator()] { return sim.now(); });
-    cluster.network().set_tracer(&tracer);
-  }
+  Cluster cluster(config);
+  if (options.trace) cluster.attach_tracer(tracer);
   cluster.start_clients(schedule.requests);
 
   ActionApplier applier(cluster.network(), cluster.keys(), {}, schedule.n);
@@ -478,7 +383,7 @@ RunResult run_bchain(const Schedule& schedule, const RunOptions& options) {
   cluster.simulator().run_until(schedule.quiet_start + schedule.quiet_window);
   obs.histories_consistent = cluster.histories_consistent();
   obs.completed_requests = cluster.total_completed();
-  obs.view_changes = cluster.max_reconfigurations();
+  obs.view_changes = (cluster.*view_changes)();
   finish(schedule, options, cluster, tracer, obs, result);
   return result;
 }
@@ -493,12 +398,18 @@ RunResult run_schedule(const Schedule& schedule, const RunOptions& options) {
       return run_quorum_selection(schedule, options);
     case Protocol::kFollowerSelection:
       return run_follower_selection(schedule, options);
-    case Protocol::kXPaxos:
-      return run_xpaxos(schedule, options);
+    case Protocol::kXPaxos: {
+      xpaxos::ClusterConfig config;  // quorum-selection policy
+      config.fd.initial_timeout = fd_timeout_for(schedule);
+      return run_smr<xpaxos::Cluster>(schedule, options, config,
+                                      &xpaxos::Cluster::total_view_changes);
+    }
     case Protocol::kPbft:
-      return run_pbft(schedule, options);
+      return run_smr<pbft::Cluster>(schedule, options, {},
+                                    &pbft::Cluster::total_view_changes);
     case Protocol::kBChain:
-      return run_bchain(schedule, options);
+      return run_smr<bchain::Cluster>(schedule, options, {},
+                                      &bchain::Cluster::max_reconfigurations);
   }
   QSEL_ASSERT_MSG(false, "unreachable");
   return {};

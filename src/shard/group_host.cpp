@@ -29,10 +29,9 @@ xpaxos::Replica& GroupHost::add_replica(HostedGroupConfig config) {
 
   xpaxos::ReplicaConfig replica_config = config.replica;
   replica_config.n = static_cast<ProcessId>(config.spec.members.size());
-  replica_config.app_factory = std::move(config.app_factory);
-  replica_config.node_store = entry.store.get();
   entry.replica = std::make_unique<xpaxos::Replica>(
-      *entry.transport, *entry.keys, std::move(replica_config));
+      *entry.transport, *entry.keys, std::move(replica_config),
+      entry.store.get(), config.app_factory);
 
   auto [it, inserted] = entries_.emplace(id, std::move(entry));
   QSEL_ASSERT(inserted);

@@ -26,12 +26,11 @@ namespace qsel::shard {
 struct HostedGroupConfig {
   GroupSpec spec;
   /// Per-replica protocol settings. n is overwritten with the spec's
-  /// member count; app_factory and node_store are overwritten from the
-  /// fields below.
+  /// member count.
   xpaxos::ReplicaConfig replica;
   /// Builds this group's state machine (ShardMapMachine for the config
   /// group, ShardKv for a data group). Unset = app::KvStore.
-  std::function<std::unique_ptr<app::StateMachine>()> app_factory;
+  xpaxos::Replica::AppFactory app_factory;
   /// Base signing seed shared by the whole cluster; the group key seed is
   /// derived from it (GroupSpec::key_seed).
   std::uint64_t key_seed = 0;

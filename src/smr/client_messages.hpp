@@ -51,4 +51,13 @@ struct ReplyMessage final : sim::Payload {
   bool verify(const crypto::Signer& verifier, ProcessId n) const;
 };
 
+/// One executed request in a replica's log, for cross-replica consistency
+/// checks (runtime::SmrCluster::histories_consistent).
+struct ExecutedEntry {
+  SeqNum slot;
+  std::uint32_t client;
+  std::uint64_t client_seq;
+  crypto::Digest op_digest;
+};
+
 }  // namespace qsel::smr

@@ -1,81 +1,13 @@
-// XPaxosCluster — replicas + clients over the simulated network.
-//
-// Builds n replicas (ids 0..n-1, minus any reserved Byzantine slots) and c
-// clients (ids n..n+c-1) and exposes the observations the experiments
-// need: committed requests, view-change counts, history consistency and
-// per-type message counts (network().stats()).
+// xpaxos::Cluster — XPaxos replicas + clients over the simulated network
+// (runtime::SmrCluster).
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <optional>
-#include <vector>
-
-#include "common/process_set.hpp"
-#include "common/types.hpp"
-#include "crypto/signer.hpp"
-#include "runtime/sim_transport.hpp"
-#include "sim/network.hpp"
-#include "sim/simulator.hpp"
-#include "smr/client.hpp"
+#include "runtime/smr_cluster.hpp"
 #include "xpaxos/replica.hpp"
 
 namespace qsel::xpaxos {
 
-struct ClusterConfig {
-  ProcessId n = 4;
-  int f = 1;
-  QuorumPolicy policy = QuorumPolicy::kQuorumSelection;
-  std::uint32_t clients = 1;
-  std::uint64_t seed = 1;
-  sim::NetworkConfig network;
-  fd::FailureDetectorConfig fd;
-  SimDuration view_change_retry = 30'000'000;
-  SimDuration client_retry = 50'000'000;
-  /// Commit pipelining / batching knobs, forwarded to every replica.
-  std::size_t pipeline_window = 16;
-  std::size_t max_batch = 8;
-  app::WorkloadConfig workload;
-};
-
-class Cluster {
- public:
-  explicit Cluster(ClusterConfig config, ProcessSet byzantine = {});
-
-  sim::Simulator& simulator() { return sim_; }
-  sim::Network& network() { return *network_; }
-  const crypto::KeyRegistry& keys() const { return keys_; }
-  const ClusterConfig& config() const { return config_; }
-
-  Replica& replica(ProcessId id);
-  smr::Client& client(std::uint32_t index);
-
-  /// Honest replica ids that have not crashed.
-  ProcessSet alive_replicas() const;
-
-  /// Starts every client with `requests_per_client` requests.
-  void start_clients(std::uint64_t requests_per_client);
-
-  std::uint64_t total_completed() const;
-  std::uint64_t total_view_changes() const;
-  std::uint64_t max_view_changes() const;
-
-  /// True when the executed histories of all honest live replicas agree
-  /// slot by slot (prefix consistency of the replicated log).
-  bool histories_consistent() const;
-
- private:
-  ClusterConfig config_;
-  sim::Simulator sim_;
-  crypto::KeyRegistry keys_;
-  std::unique_ptr<sim::Network> network_;
-  ProcessSet honest_replicas_;
-  /// One per live process (replica or client); each attaches itself to its
-  /// slot of the network. Declared before the protocol objects that borrow
-  /// them so destruction runs protocol-first.
-  std::vector<std::unique_ptr<runtime::SimTransport>> transports_;
-  std::vector<std::unique_ptr<Replica>> replicas_;
-  std::vector<std::unique_ptr<smr::Client>> clients_;
-};
+using ClusterConfig = runtime::SmrClusterConfig<ReplicaConfig>;
+using Cluster = runtime::SmrCluster<Replica, ReplicaConfig>;
 
 }  // namespace qsel::xpaxos

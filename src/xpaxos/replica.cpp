@@ -10,84 +10,38 @@
 namespace qsel::xpaxos {
 
 Replica::Replica(net::Transport& transport, const crypto::KeyRegistry& keys,
-                 ReplicaConfig config)
+                 ReplicaConfig config, store::NodeStore* store,
+                 const AppFactory& app_factory)
     : transport_(transport),
       signer_(keys, transport.self()),
       config_(std::move(config)),
       view_map_(config_.n, config_.f),
-      fd_(transport.timers(), transport.self(), config_.n, config_.fd,
-          [this](ProcessSet s) { on_suspected(s); }) {
+      plane_(transport, signer_,
+             {config_.n, config_.f, config_.fd, suspect::GossipMode::kFullRow,
+              store},
+             config_.policy == QuorumPolicy::kQuorumSelection
+                 ? [this](ProcessSet q) { on_selected_quorum(q); }
+                 : decltype(plane_)::IssueQuorum{},
+             [this](ProcessSet s) { on_suspected(s); }) {
   QSEL_REQUIRE(self() < config_.n);
   QSEL_REQUIRE(config_.pipeline_window >= 1);
   QSEL_REQUIRE(config_.max_batch >= 1 &&
                config_.max_batch <= PrepareMessage::kMaxBatch);
-  if (config_.policy == QuorumPolicy::kQuorumSelection) {
-    selector_ = std::make_unique<qs::QuorumSelector>(
-        signer_, qs::QuorumSelectorConfig{config_.n, config_.f},
-        qs::QuorumSelector::Hooks{
-            [this](ProcessSet q) { on_selected_quorum(q); },
-            [this](sim::PayloadPtr msg) { broadcast_all(msg); },
-            [this] { maybe_persist(); },
-            [this](ProcessId to, sim::PayloadPtr msg) {
-              transport_.send(to, std::move(msg));
-            }});
-  }
-  app_ = config_.app_factory ? config_.app_factory()
-                             : std::make_unique<app::KvStore>();
+  app_ = app_factory ? app_factory() : std::make_unique<app::KvStore>();
   QSEL_REQUIRE(app_ != nullptr);
   transport_.set_handler([this](ProcessId from, const sim::PayloadPtr& msg) {
     on_message(from, msg);
   });
-  if (config_.node_store != nullptr) {
-    if (const auto recovered = config_.node_store->recover()) {
-      // Timeouts first: restore() re-evaluates the quorum, and any epoch
-      // advance it triggers should persist a state that already includes
-      // the recovered timeouts.
-      fd_.restore_timeouts(recovered->fd_timeouts);
-      if (selector_ != nullptr)
-        selector_->restore(recovered->epoch, recovered->own_row);
-    }
-    maybe_persist();  // first boot journals the initial state
-  }
+  plane_.recover();
 }
 
 Replica::~Replica() {
   // The transport and its timer queue may outlive this replica (a
   // GroupHost can retire one group while the node keeps running), so
-  // nothing scheduled may touch a dead `this`.
+  // nothing scheduled may touch a dead `this`: the view-change timer is
+  // cancelled here, the plane guards its queued SUSPECTED deliveries.
   view_change_timer_.cancel();
   transport_.set_handler(nullptr);
-}
-
-void Replica::maybe_persist() {
-  if (config_.node_store == nullptr) return;
-  // Dirty check before any O(n) work (mirrors runtime::NodeProcess): the
-  // own-row version counter moves exactly when a cell of the own row
-  // increases, the FD generation exactly when a timeout adapts.
-  const std::uint64_t row_version =
-      selector_ != nullptr ? selector_->matrix().row_version(self()) : 0;
-  const Epoch epoch = selector_ != nullptr ? selector_->epoch() : 0;
-  const std::uint64_t fd_generation = fd_.timeout_generation();
-  if (has_persisted_ && row_version == persisted_row_version_ &&
-      epoch == persisted_epoch_ && fd_generation == persisted_fd_generation_)
-    return;
-  store::DurableNodeState state;
-  state.epoch = epoch;
-  if (selector_ != nullptr) {
-    const auto row = selector_->matrix().row(self());
-    state.own_row.assign(row.begin(), row.end());
-  }
-  state.fd_timeouts = fd_.timeouts();
-  config_.node_store->persist(state);
-  persisted_row_version_ = row_version;
-  persisted_epoch_ = epoch;
-  persisted_fd_generation_ = fd_generation;
-  has_persisted_ = true;
-}
-
-void Replica::broadcast_all(const sim::PayloadPtr& message) {
-  transport_.broadcast(ProcessSet::full(config_.n) - ProcessSet{self()},
-                       message);
 }
 
 void Replica::send_to_quorum(const sim::PayloadPtr& message) {
@@ -96,7 +50,7 @@ void Replica::send_to_quorum(const sim::PayloadPtr& message) {
 }
 
 void Replica::on_message(ProcessId from, const sim::PayloadPtr& message) {
-  (void)from;  // authentication is by signature; `from` may be a forwarder
+  // Authentication is by signature; `from` may be a forwarder.
   if (auto request = std::dynamic_pointer_cast<const ClientRequest>(message)) {
     handle_request(request);
   } else if (auto prepare =
@@ -104,7 +58,7 @@ void Replica::on_message(ProcessId from, const sim::PayloadPtr& message) {
     if (!prepare->verify(signer_, config_.n,
                          view_map_.leader_of(prepare->view)))
       return;
-    fd_.on_receive(prepare->sig.signer, message);
+    fd().on_receive(prepare->sig.signer, message);
     handle_prepare(*prepare, /*via_commit=*/false);
   } else if (auto commit =
                  std::dynamic_pointer_cast<const CommitMessage>(message)) {
@@ -115,17 +69,12 @@ void Replica::on_message(ProcessId from, const sim::PayloadPtr& message) {
   } else if (auto newview =
                  std::dynamic_pointer_cast<const NewViewMessage>(message)) {
     handle_newview(newview);
-  } else if (auto update = std::dynamic_pointer_cast<
-                 const suspect::UpdateMessage>(message)) {
-    if (selector_ != nullptr &&
-        update->verify(signer_, config_.n)) {
-      fd_.on_receive(update->origin, message);
-      selector_->on_update(update);
-    }
+  } else {
+    plane_.on_message(from, message);
   }
   // Catch FD timeout adaptation, which has no write-ahead hook; the dirty
   // check makes this a few integer compares in the steady state.
-  maybe_persist();
+  plane_.maybe_persist();
 }
 
 // --------------------------------------------------------------------------
@@ -152,19 +101,19 @@ void Replica::handle_request(
     if (status_ != Status::kNormal || !in_active_quorum()) return;
     if (client_index_.contains(key)) return;  // already proposed
     transport_.send(leader(), request);
-    if (!fd_.suspected().contains(leader())) {
+    if (!fd().suspected().contains(leader())) {
       const ViewId view = view_;
       const auto client = request->client;
       const auto client_seq = request->client_seq;
-      fd_.expect(leader(),
-                 [view, client, client_seq](ProcessId,
-                                            const sim::PayloadPtr& m) {
-                   const auto* p =
-                       dynamic_cast<const PrepareMessage*>(m.get());
-                   return p != nullptr && p->view == view &&
-                          p->contains(client, client_seq);
-                 },
-                 "proposal");
+      fd().expect(leader(),
+                  [view, client, client_seq](ProcessId,
+                                             const sim::PayloadPtr& m) {
+                    const auto* p =
+                        dynamic_cast<const PrepareMessage*>(m.get());
+                    return p != nullptr && p->view == view &&
+                           p->contains(client, client_seq);
+                  },
+                  "proposal");
     }
     return;
   }
@@ -236,13 +185,13 @@ void Replica::propose_batch(std::vector<BatchEntry> batch) {
 }
 
 void Replica::expect_commit(ProcessId from, ViewId view, SeqNum slot_no) {
-  fd_.expect(from,
-             [view, slot_no](ProcessId, const sim::PayloadPtr& m) {
-               const auto* c = dynamic_cast<const CommitMessage*>(m.get());
-               return c != nullptr && c->prepare.view == view &&
-                      c->prepare.slot == slot_no;
-             },
-             "commit");
+  fd().expect(from,
+              [view, slot_no](ProcessId, const sim::PayloadPtr& m) {
+                const auto* c = dynamic_cast<const CommitMessage*>(m.get());
+                return c != nullptr && c->prepare.view == view &&
+                       c->prepare.slot == slot_no;
+              },
+              "commit");
 }
 
 void Replica::handle_prepare(const PrepareMessage& prepare, bool via_commit) {
@@ -264,7 +213,7 @@ void Replica::handle_prepare(const PrepareMessage& prepare, bool via_commit) {
         QSEL_LOG(kInfo, "xpaxos") << "p" << self()
                                   << " detected equivocation by leader p"
                                   << leader();
-        fd_.detected(leader());
+        fd().detected(leader());
         return;
       }
     } else if (slot.prepare->view < prepare.view) {
@@ -299,7 +248,7 @@ void Replica::handle_prepare(const PrepareMessage& prepare, bool via_commit) {
 
 void Replica::handle_commit(const std::shared_ptr<const CommitMessage>& commit) {
   if (!commit->verify_sender(signer_, config_.n)) return;
-  fd_.on_receive(commit->sender, commit);
+  fd().on_receive(commit->sender, commit);
   if (commit->prepare.view != view_) return;
   if (status_ != Status::kNormal) {
     buffered_protocol_.push_back(commit);
@@ -314,7 +263,7 @@ void Replica::handle_commit(const std::shared_ptr<const CommitMessage>& commit) 
     QSEL_LOG(kInfo, "xpaxos") << "p" << self()
                               << " detected malformed COMMIT from p"
                               << commit->sender;
-    fd_.detected(commit->sender);
+    fd().detected(commit->sender);
     return;
   }
 
@@ -326,7 +275,7 @@ void Replica::handle_commit(const std::shared_ptr<const CommitMessage>& commit) 
     QSEL_LOG(kInfo, "xpaxos") << "p" << self()
                               << " detected equivocation via COMMIT (leader p"
                               << leader() << ")";
-    fd_.detected(leader());
+    fd().detected(leader());
     return;
   }
 
@@ -337,14 +286,14 @@ void Replica::handle_commit(const std::shared_ptr<const CommitMessage>& commit) 
     if (leader() != self()) {
       const ViewId view = view_;
       const SeqNum slot_no = commit->prepare.slot;
-      fd_.expect(leader(),
-                 [view, slot_no](ProcessId, const sim::PayloadPtr& m) {
-                   const auto* p =
-                       dynamic_cast<const PrepareMessage*>(m.get());
-                   return p != nullptr && p->view == view &&
-                          p->slot == slot_no;
-                 },
-                 "prepare");
+      fd().expect(leader(),
+                  [view, slot_no](ProcessId, const sim::PayloadPtr& m) {
+                    const auto* p =
+                        dynamic_cast<const PrepareMessage*>(m.get());
+                    return p != nullptr && p->view == view &&
+                           p->slot == slot_no;
+                  },
+                  "prepare");
     }
     handle_prepare(commit->prepare, /*via_commit=*/true);
   } else {
@@ -390,8 +339,8 @@ void Replica::try_execute() {
         result = app_->apply_encoded(e.op);
         ++requests_executed_;
       }
-      executed_history_.push_back(
-          ExecutedEntry{p.slot, e.client, e.client_seq, crypto::sha256(e.op)});
+      executed_history_.push_back(smr::ExecutedEntry{
+          p.slot, e.client, e.client_seq, crypto::sha256(e.op)});
       results_[key] = result;
       if (!noop && e.client < transport_.process_count() &&
           e.client >= config_.n) {
@@ -410,12 +359,6 @@ void Replica::try_execute() {
 // View changes and quorum installation (Section V-B)
 
 void Replica::on_suspected(ProcessSet suspects) {
-  if (selector_ != nullptr) {
-    // Quorum Selection policy: suspicions feed Algorithm 1; view changes
-    // are driven by <QUORUM, Q> outputs only.
-    selector_->on_suspected(suspects);
-    return;
-  }
   // Enumeration policy: XPaxos detects failures at the granularity of the
   // quorum — any suspicion touching the active quorum moves to the next
   // quorum in the enumeration.
@@ -439,7 +382,7 @@ void Replica::start_view_change(ViewId target) {
   ++view_changes_;
   QSEL_LOG(kInfo, "xpaxos") << "p" << self() << " view change to " << view_
                             << " quorum " << active_quorum().to_string();
-  fd_.cancel_all();  // Section V-B: PREPARE/COMMIT expectations are void now
+  fd().cancel_all();  // Section V-B: PREPARE/COMMIT expectations are void now
   viewchanges_.clear();
   newview_expected_ = false;
   buffered_protocol_.clear();
@@ -454,13 +397,13 @@ void Replica::start_view_change(ViewId target) {
   for (ProcessId member : active_quorum()) {
     if (member == self()) continue;
     const ViewId view = view_;
-    fd_.expect(member,
-               [view](ProcessId, const sim::PayloadPtr& m) {
-                 const auto* vc =
-                     dynamic_cast<const ViewChangeMessage*>(m.get());
-                 return vc != nullptr && vc->new_view >= view;
-               },
-               "viewchange");
+    fd().expect(member,
+                [view](ProcessId, const sim::PayloadPtr& m) {
+                  const auto* vc =
+                      dynamic_cast<const ViewChangeMessage*>(m.get());
+                  return vc != nullptr && vc->new_view >= view;
+                },
+                "viewchange");
   }
   arm_view_change_timer();
 }
@@ -493,7 +436,7 @@ std::vector<PrepareMessage> Replica::prepared_log() const {
 
 void Replica::broadcast_viewchange() {
   const auto msg = ViewChangeMessage::make(signer_, view_, prepared_log());
-  broadcast_all(msg);
+  transport_.broadcast(plane_.others(), msg);
   viewchanges_[self()] = msg;
   maybe_assemble_new_view();
 }
@@ -501,7 +444,7 @@ void Replica::broadcast_viewchange() {
 void Replica::handle_viewchange(
     const std::shared_ptr<const ViewChangeMessage>& msg) {
   if (!msg->verify(signer_, config_.n)) return;
-  fd_.on_receive(msg->sender, msg);
+  fd().on_receive(msg->sender, msg);
   if (msg->new_view < view_) return;  // stale
   if (msg->new_view > view_) {
     // Another correct process moved ahead (its timer fired or its quorum
@@ -526,13 +469,13 @@ void Replica::maybe_assemble_new_view() {
     if (!newview_expected_) {
       newview_expected_ = true;
       const ViewId view = view_;
-      fd_.expect(leader(),
-                 [view](ProcessId, const sim::PayloadPtr& m) {
-                   const auto* nv =
-                       dynamic_cast<const NewViewMessage*>(m.get());
-                   return nv != nullptr && nv->view >= view;
-                 },
-                 "newview");
+      fd().expect(leader(),
+                  [view](ProcessId, const sim::PayloadPtr& m) {
+                    const auto* nv =
+                        dynamic_cast<const NewViewMessage*>(m.get());
+                    return nv != nullptr && nv->view >= view;
+                  },
+                  "newview");
     }
     return;
   }
@@ -592,13 +535,13 @@ void Replica::maybe_assemble_new_view() {
   }
   next_slot_ = max_slot + 1;
   const auto nv = NewViewMessage::make(signer_, view_, std::move(reproposals));
-  broadcast_all(nv);
+  transport_.broadcast(plane_.others(), nv);
   handle_newview(nv);
 }
 
 void Replica::handle_newview(const std::shared_ptr<const NewViewMessage>& msg) {
   if (!msg->verify(signer_, config_.n)) return;
-  fd_.on_receive(msg->leader, msg);
+  fd().on_receive(msg->leader, msg);
   if (msg->view < view_) return;
   if (msg->leader != view_map_.leader_of(msg->view)) return;
   if (msg->view > view_) {
@@ -606,7 +549,7 @@ void Replica::handle_newview(const std::shared_ptr<const NewViewMessage>& msg) {
     view_ = msg->view;
     status_ = Status::kViewChange;
     ++view_changes_;
-    fd_.cancel_all();
+    fd().cancel_all();
     viewchanges_.clear();
     newview_expected_ = false;
     buffered_protocol_.clear();
@@ -615,7 +558,7 @@ void Replica::handle_newview(const std::shared_ptr<const NewViewMessage>& msg) {
 
   status_ = Status::kNormal;
   view_change_timer_.cancel();
-  fd_.cancel_all();
+  fd().cancel_all();
   QSEL_LOG(kInfo, "xpaxos") << "p" << self() << " installed view " << view_
                             << " (" << msg->reproposals.size()
                             << " reproposals)";

@@ -49,6 +49,7 @@
 #include "fd/failure_detector.hpp"
 #include "net/transport.hpp"
 #include "qs/quorum_selector.hpp"
+#include "runtime/selection_plane.hpp"
 #include "store/node_store.hpp"
 #include "xpaxos/messages.hpp"
 #include "xpaxos/view_map.hpp"
@@ -73,20 +74,21 @@ struct ReplicaConfig {
   /// and a queue builds behind it, so an idle system keeps 1-request
   /// latency.
   std::size_t max_batch = 8;
-  /// Builds the replicated application; unset = app::KvStore.
-  std::function<std::unique_ptr<app::StateMachine>()> app_factory;
-  /// Optional durable store for the node's quorum-selection state (epoch,
-  /// own suspicion row, FD timeouts). Recovered at construction, written
-  /// ahead of every own-row/epoch change. Nullptr = memory-only.
-  store::NodeStore* node_store = nullptr;
 };
 
 class Replica final {
  public:
+  using AppFactory = std::function<std::unique_ptr<app::StateMachine>()>;
+
   /// Installs itself as `transport`'s handler; self() = transport.self(),
-  /// which must be a replica id (< config.n).
+  /// which must be a replica id (< config.n). Suspicions travel as
+  /// full-row UPDATEs: the replica never ticks its selection plane, and a
+  /// full row repairs itself on the next change (DESIGN.md §15). A
+  /// non-null `store` (outliving the replica) makes the selection state
+  /// durable; `app_factory` builds the application, unset = app::KvStore.
   Replica(net::Transport& transport, const crypto::KeyRegistry& keys,
-          ReplicaConfig config);
+          ReplicaConfig config, store::NodeStore* store = nullptr,
+          const AppFactory& app_factory = {});
   /// Cancels pending timers and detaches from the transport, so a replica
   /// can be destroyed while its transport (and timer queue) live on.
   ~Replica();
@@ -114,19 +116,14 @@ class Replica final {
   std::size_t in_flight_instances() const;
   /// Requests queued behind a full pipeline window (leader only).
   std::size_t pending_proposals() const { return pending_requests_.size(); }
-  fd::FailureDetector& failure_detector() { return fd_; }
+  fd::FailureDetector& failure_detector() { return plane_.failure_detector(); }
   /// Null under the enumeration policy.
-  const qs::QuorumSelector* selector() const { return selector_.get(); }
+  const qs::QuorumSelector* selector() const {
+    return plane_.has_selector() ? &plane_.selector() : nullptr;
+  }
 
-  /// Executed history as (slot, client, client_seq) triples, for
-  /// cross-replica consistency checks.
-  struct ExecutedEntry {
-    SeqNum slot;
-    std::uint32_t client;
-    std::uint64_t client_seq;
-    crypto::Digest op_digest;
-  };
-  const std::vector<ExecutedEntry>& executed_history() const {
+  /// Executed history, for cross-replica consistency checks.
+  const std::vector<smr::ExecutedEntry>& executed_history() const {
     return executed_history_;
   }
 
@@ -148,6 +145,8 @@ class Replica final {
   void handle_viewchange(const std::shared_ptr<const ViewChangeMessage>& msg);
   void handle_newview(const std::shared_ptr<const NewViewMessage>& msg);
 
+  fd::FailureDetector& fd() { return plane_.failure_detector(); }
+  /// Enumeration policy only: SUSPECTED straight from the detector.
   void on_suspected(ProcessSet suspects);
   void on_selected_quorum(ProcessSet quorum);
   void start_view_change(ViewId target);
@@ -157,11 +156,9 @@ class Replica final {
   void try_execute();
   void record_commit(SeqNum slot_no, ProcessId sender);
   void expect_commit(ProcessId from, ViewId view, SeqNum slot_no);
-  void maybe_persist();
 
   /// Sends to every member of the view's quorum except self.
   void send_to_quorum(const sim::PayloadPtr& message);
-  void broadcast_all(const sim::PayloadPtr& message);
 
   std::vector<PrepareMessage> prepared_log() const;
 
@@ -169,8 +166,8 @@ class Replica final {
   crypto::Signer signer_;
   ReplicaConfig config_;
   ViewMap view_map_;
-  fd::FailureDetector fd_;
-  std::unique_ptr<qs::QuorumSelector> selector_;  // policy == kQuorumSelection
+  /// Selector-less under the enumeration policy.
+  runtime::SelectionPlane<qs::QuorumSelector> plane_;
   std::unique_ptr<app::StateMachine> app_;
 
   ViewId view_ = 1;
@@ -182,7 +179,7 @@ class Replica final {
   SeqNum next_slot_ = 1;  // leader only
   SeqNum last_executed_ = 0;
   std::uint64_t requests_executed_ = 0;
-  std::vector<ExecutedEntry> executed_history_;
+  std::vector<smr::ExecutedEntry> executed_history_;
 
   /// (client, client_seq) -> slot, for duplicate suppression.
   std::map<std::pair<std::uint32_t, std::uint64_t>, SeqNum> client_index_;
@@ -205,13 +202,6 @@ class Replica final {
   /// PREPARE/COMMIT messages for the *target* view that raced ahead of the
   /// NEWVIEW (links are not FIFO); replayed once the view installs.
   std::vector<sim::PayloadPtr> buffered_protocol_;
-
-  // Durable-state bookkeeping (config_.node_store != nullptr): dirty
-  // counters so steady-state messages skip the O(n) persist.
-  bool has_persisted_ = false;
-  std::uint64_t persisted_row_version_ = 0;
-  Epoch persisted_epoch_ = 0;
-  std::uint64_t persisted_fd_generation_ = 0;
 };
 
 }  // namespace qsel::xpaxos

@@ -1,4 +1,4 @@
-#include "bchain/qs_cluster.hpp"
+#include "bchain/cluster.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,0 +1,110 @@
+// Follower Selection over real TCP: four FollowerProcesses, each on its own
+// TcpTransport, share one EventLoop. The leader p0 crashes; every survivor
+// must settle on the (leader, quorum) that the simulated FollowerCluster
+// reaches on the same schedule — the transport parity contract of
+// net/transport.hpp for Algorithm 2. FOLLOWERS needs FIFO links (Section
+// VIII), which each TCP connection provides; heartbeats, UPDATE,
+// DELTA-UPDATE, ROW-DIGEST and FOLLOWERS all have wire encodings already.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "net/event_loop.hpp"
+#include "net/tcp_transport.hpp"
+#include "runtime/follower_cluster.hpp"
+
+namespace qsel::net {
+namespace {
+
+constexpr std::uint64_t kMs = 1'000'000;
+constexpr ProcessId kN = 4;
+constexpr std::uint64_t kSeed = 3;
+
+TEST(FollowerLoopbackTest, LeaderCrashMatchesSimulator) {
+  // Substrate 1: virtual time.
+  runtime::FollowerClusterConfig sim_config;
+  sim_config.n = kN;
+  sim_config.f = 1;
+  sim_config.seed = kSeed;
+  runtime::FollowerCluster sim_cluster(sim_config);
+  sim_cluster.start();
+  sim_cluster.simulator().run_until(200 * kMs);
+  sim_cluster.network().crash(0);
+  sim_cluster.simulator().run_until(5'000 * kMs);
+  const auto expected = sim_cluster.agreed_leader_quorum();
+  ASSERT_TRUE(expected.has_value());
+  ASSERT_NE(expected->first, 0u);
+
+  // Substrate 2: real TCP, same logical schedule, real-time pacing
+  // (heartbeats every 10 ms, 40 ms initial timeout — loopback_cluster.hpp).
+  EventLoop loop;
+  const crypto::KeyRegistry keys(kN, kSeed);
+  std::vector<std::unique_ptr<TcpTransport>> transports;
+  for (ProcessId id = 0; id < kN; ++id) {
+    TcpTransport::Config tcp;
+    tcp.self = id;
+    tcp.n = kN;
+    tcp.auth_seed = kSeed;
+    transports.push_back(std::make_unique<TcpTransport>(loop, tcp));
+  }
+  for (ProcessId from = 0; from < kN; ++from)
+    for (ProcessId to = 0; to < kN; ++to)
+      if (from != to)
+        transports[from]->set_peer(to, transports[to]->listen_port());
+  const runtime::NodeProcessConfig config{
+      kN, 1, fd::FailureDetectorConfig{40 * kMs, 1'000 * kMs, true},
+      10 * kMs};
+  std::vector<std::unique_ptr<runtime::FollowerProcess>> processes;
+  for (ProcessId id = 0; id < kN; ++id)
+    processes.push_back(std::make_unique<runtime::FollowerProcess>(
+        *transports[id], keys, config));
+
+  const auto run_until = [&](const std::function<bool()>& pred,
+                             std::uint64_t timeout_ns) {
+    const std::uint64_t deadline = loop.now_ns() + timeout_ns;
+    while (!pred()) {
+      const std::uint64_t now = loop.now_ns();
+      if (now >= deadline) return false;
+      loop.poll_once(std::min<std::uint64_t>(deadline - now, 5 * kMs));
+    }
+    return true;
+  };
+  for (auto& transport : transports) transport->start();
+  ASSERT_TRUE(run_until(
+      [&] {
+        for (ProcessId from = 0; from < kN; ++from)
+          for (ProcessId to = 0; to < kN; ++to)
+            if (from != to && !transports[from]->connected_to(to))
+              return false;
+        return true;
+      },
+      2'000 * kMs));
+  for (auto& process : processes) process->start();
+  loop.run_for(200 * kMs);
+
+  // Crash the leader: its sockets close, then the process is gone while
+  // its heartbeat and FD callbacks may still sit in the loop's queue.
+  transports[0]->shutdown();
+  processes[0].reset();
+  const auto survivors_agree = [&] {
+    for (ProcessId id = 1; id < kN; ++id)
+      if (processes[id]->leader() != expected->first ||
+          processes[id]->quorum() != expected->second)
+        return false;
+    return true;
+  };
+  EXPECT_TRUE(run_until(survivors_agree, 60'000 * kMs))
+      << "simulator settled on leader p" << expected->first << " with "
+      << expected->second.to_string();
+  for (ProcessId id = 1; id < kN; ++id) {
+    EXPECT_EQ(processes[id]->leader(), expected->first) << "p" << id;
+    EXPECT_EQ(processes[id]->quorum(), expected->second) << "p" << id;
+  }
+  for (auto& transport : transports) transport->shutdown();
+}
+
+}  // namespace
+}  // namespace qsel::net

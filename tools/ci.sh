@@ -6,10 +6,10 @@
 #   2. sanitizers: a separate ASan/UBSan build running the FULL test
 #      suite, including the `long`-labelled scenario soak;
 #   3. loopback integration, sanitized: the real-TCP tests (EventLoop,
-#      TcpTransport, the 7-node tampered LoopbackCluster scenarios and the
-#      simulator/TCP parity check) re-run as an explicitly named gate —
-#      socket and reconnect paths must be clean under ASan/UBSan, not just
-#      under virtual time;
+#      TcpTransport, the 7-node tampered LoopbackCluster scenarios, the
+#      simulator/TCP parity check and Follower Selection over TCP) re-run
+#      as an explicitly named gate — socket and reconnect paths must be
+#      clean under ASan/UBSan, not just under virtual time;
 #   4. fuzz smoke: randomized fault schedules per protocol through
 #      tools/qsel_fuzz on the sanitized binary, so memory bugs on fuzz
 #      paths surface here and not in the nightly campaign. The generator's
@@ -73,7 +73,7 @@ cmake --build build-asan -j"$JOBS"
 (cd build-asan && ctest --output-on-failure -j"$JOBS")
 
 echo "== [3/10] loopback integration (real TCP, sanitized) =="
-(cd build-asan && ctest -L tier1 -R "EventLoopTest|TcpTransportTest|LoopbackClusterTest|LoopbackResilienceTest|WireTest" \
+(cd build-asan && ctest -L tier1 -R "EventLoopTest|TcpTransportTest|LoopbackClusterTest|LoopbackResilienceTest|FollowerLoopbackTest|WireTest" \
   --output-on-failure)
 
 echo "== [4/10] fuzz smoke (${FUZZ_RUNS:-100} runs/protocol, sanitized, combined archetypes included) =="
