@@ -45,19 +45,18 @@ Measurement measure(Cluster& cluster, ProcessId n, bool crash_one,
   Measurement m;
   m.completed = cluster.total_completed();
   const auto& stats = cluster.network().stats();
-  std::uint64_t inter_replica = 0;
-  std::uint64_t inter_bytes = 0;
-  for (const auto& [type, count] : stats.type_counts()) {
-    if (type == "smr.request" || type == "smr.reply") continue;
-    inter_replica += count;
-  }
-  inter_bytes = stats.total_bytes();  // dominated by protocol messages
+  const std::uint64_t inter_replica = stats.total_messages() -
+                                      stats.by_type("smr.request") -
+                                      stats.by_type("smr.reply");
+  // Dominated by protocol messages.
+  const std::uint64_t inter_bytes = stats.total_bytes();
   if (m.completed > 0) {
     m.messages_per_request = static_cast<double>(inter_replica) /
                              static_cast<double>(m.completed);
     m.bytes_per_request =
         static_cast<double>(inter_bytes) / static_cast<double>(m.completed);
-    m.median_latency_ms = cluster.client(0).latencies().median() / 1e6;
+    m.median_latency_ms =
+        static_cast<double>(cluster.client(0).latencies().p50()) / 1e6;
   }
   return m;
 }

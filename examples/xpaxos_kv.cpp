@@ -49,7 +49,8 @@ RunStats run(QuorumPolicy policy) {
   RunStats stats{};
   stats.completed = cluster.total_completed();
   stats.view_changes = cluster.max_view_changes();
-  stats.median_latency_ms = cluster.client(0).latencies().median() / 1e6;
+  stats.median_latency_ms =
+      static_cast<double>(cluster.client(0).latencies().p50()) / 1e6;
   stats.consistent = cluster.histories_consistent();
   ProcessId probe = cluster.alive_replicas().min();
   stats.final_quorum = cluster.replica(probe).active_quorum().to_string();

@@ -1,80 +1,13 @@
-// Multi-in-flight SMR client engine.
-//
-// smr::RequestEngine is deliberately one-request-at-a-time — that is what
-// the protocol experiments and the routing clients want, and it stays
-// untouched. The load generator needs the opposite: a single client
-// identity keeping a whole window of signed requests outstanding, so the
-// leader's pipeline actually fills. AsyncEngine keeps a map of pending
-// requests keyed by client_seq, each with its own retransmission timer and
-// f+1-matching reply tally; outcomes settle independently and in any
-// order.
-//
-// Like smr::Client it installs itself as the transport's handler — each
-// load client owns a dedicated transport (its slot of the simulated
-// network, or its own loopback TcpTransport).
+// Names the benchmark rig (perfbench/rig) compiles against. The load
+// generator's client engine is smr::RequestEngine; code in src/ uses it
+// directly.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "common/process_set.hpp"
-#include "common/types.hpp"
-#include "crypto/signer.hpp"
-#include "net/transport.hpp"
 #include "smr/client.hpp"
-#include "smr/client_messages.hpp"
 
 namespace qsel::load {
 
-struct AsyncEngineConfig {
-  /// Replica id upper bound (reply signers are validated against it).
-  ProcessId replicas = 4;
-  int f = 1;
-  /// Replicas to address; empty = all of 0..replicas-1.
-  ProcessSet replica_set;
-  SimDuration retry_timeout = 50'000'000;  // 50 ms
-};
-
-class AsyncEngine {
- public:
-  using Callback = std::function<void(const smr::Outcome&)>;
-
-  /// Installs itself as `transport`'s handler; self() = transport.self().
-  AsyncEngine(net::Transport& transport, const crypto::KeyRegistry& keys,
-              AsyncEngineConfig config);
-
-  /// Signs and broadcasts `op`; `done` fires exactly once, when f+1
-  /// matching replies are in. Any number of requests may be in flight.
-  /// Returns the request's client_seq.
-  std::uint64_t submit(std::vector<std::uint8_t> op, Callback done);
-
-  std::size_t outstanding() const { return pending_.size(); }
-  ProcessId self() const { return signer_.self(); }
-  std::uint64_t retransmissions() const { return retransmissions_; }
-  std::uint64_t submitted() const { return next_seq_ - 1; }
-
- private:
-  struct Pending {
-    std::shared_ptr<const smr::ClientRequest> request;
-    Callback done;
-    SimTime issued_at = 0;
-    sim::TimerHandle retry;
-    std::map<std::string, ProcessSet> replies;  // result -> voters
-  };
-
-  void on_message(ProcessId from, const sim::PayloadPtr& message);
-  void arm_retry(std::uint64_t client_seq);
-
-  net::Transport& transport_;
-  crypto::Signer signer_;
-  AsyncEngineConfig config_;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t retransmissions_ = 0;
-  std::map<std::uint64_t, Pending> pending_;  // by client_seq
-};
+using AsyncEngine = smr::RequestEngine;
+using AsyncEngineConfig = smr::RequestEngineConfig;
 
 }  // namespace qsel::load

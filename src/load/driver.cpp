@@ -1,9 +1,7 @@
 #include "load/driver.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -12,11 +10,11 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "load/async_engine.hpp"
 #include "net/event_loop.hpp"
 #include "net/tcp_transport.hpp"
 #include "runtime/sim_transport.hpp"
 #include "sim/simulator.hpp"
+#include "smr/client.hpp"
 
 namespace qsel::load {
 namespace {
@@ -24,7 +22,7 @@ namespace {
 /// One load client: engine + its private workload stream + counters.
 struct ClientRig {
   net::Transport* transport = nullptr;
-  std::unique_ptr<AsyncEngine> engine;
+  std::unique_ptr<smr::RequestEngine> engine;
   std::unique_ptr<app::Workload> workload;
   std::uint64_t target = 0;  // 0 = unbounded
   std::uint64_t submitted = 0;
@@ -48,7 +46,21 @@ app::WorkloadConfig client_workload(const LoadConfig& config,
   return w;
 }
 
-void settle(ClientRig& rig, LatencyHistogram& hist,
+/// Client `i`'s rig over its own transport (which the engine takes over).
+ClientRig make_rig(net::Transport& transport, const crypto::KeyRegistry& keys,
+                   const LoadConfig& config, std::uint32_t i) {
+  ClientRig rig;
+  rig.transport = &transport;
+  rig.engine = std::make_unique<smr::RequestEngine>(
+      transport, keys,
+      smr::RequestEngineConfig{config.n, config.f, {}, config.client_retry});
+  rig.workload = std::make_unique<app::Workload>(client_workload(config, i));
+  rig.target = config.requests_per_client;
+  rig.response_chain = transport.self();
+  return rig;
+}
+
+void settle(ClientRig& rig, metrics::LatencyHistogram& hist,
             const smr::Outcome& outcome) {
   if (outcome.status != smr::ResultStatus::kOk) return;
   ++rig.committed;
@@ -64,7 +76,7 @@ void settle(ClientRig& rig, LatencyHistogram& hist,
 
 /// Closed loop: keep the window full until the target (if any) is met.
 void pump_closed(ClientRig& rig, const LoadConfig& config,
-                 LatencyHistogram& hist) {
+                 metrics::LatencyHistogram& hist) {
   while (rig.engine->outstanding() < config.outstanding &&
          (rig.target == 0 || rig.submitted < rig.target)) {
     ++rig.submitted;
@@ -79,7 +91,7 @@ void pump_closed(ClientRig& rig, const LoadConfig& config,
 /// Open loop: submit on a fixed cadence regardless of completions; shed
 /// (and count) arrivals past the in-flight cap.
 void arm_pacer(ClientRig& rig, const LoadConfig& config,
-               LatencyHistogram& hist, SimDuration interval) {
+               metrics::LatencyHistogram& hist, SimDuration interval) {
   rig.pacer = rig.transport->timers().schedule_timer(
       interval, [&rig, &config, &hist, interval] {
         if (rig.target != 0 && rig.submitted >= rig.target) return;
@@ -97,7 +109,7 @@ void arm_pacer(ClientRig& rig, const LoadConfig& config,
 }
 
 void start_load(std::vector<ClientRig>& rigs, const LoadConfig& config,
-                LatencyHistogram& hist) {
+                metrics::LatencyHistogram& hist) {
   if (config.open_rate_per_sec > 0) {
     const auto interval = static_cast<SimDuration>(
         1'000'000'000ULL * config.clients / config.open_rate_per_sec);
@@ -185,22 +197,12 @@ LoadReport run_sim(const LoadConfig& config) {
   }
 
   LoadReport report;
-  AsyncEngineConfig ec;
-  ec.replicas = config.n;
-  ec.f = config.f;
-  ec.retry_timeout = config.client_retry;
-  std::vector<ClientRig> rigs(config.clients);
+  std::vector<ClientRig> rigs;
   for (std::uint32_t i = 0; i < config.clients; ++i) {
     const auto id = static_cast<ProcessId>(config.n + i);
     transports.push_back(
         std::make_unique<runtime::SimTransport>(network, id));
-    rigs[i].transport = transports.back().get();
-    rigs[i].engine =
-        std::make_unique<AsyncEngine>(*transports.back(), keys, ec);
-    rigs[i].workload =
-        std::make_unique<app::Workload>(client_workload(config, i));
-    rigs[i].target = config.requests_per_client;
-    rigs[i].response_chain = id;
+    rigs.push_back(make_rig(*transports.back(), keys, config, i));
   }
 
   if (config.sim_faults) config.sim_faults(sim, network);
@@ -275,46 +277,24 @@ LoadReport run_loopback(const LoadConfig& config) {
         std::make_unique<xpaxos::Replica>(*transports[id], keys, rc));
 
   LoadReport report;
-  AsyncEngineConfig ec;
-  ec.replicas = config.n;
-  ec.f = config.f;
-  ec.retry_timeout = config.client_retry;
-  std::vector<ClientRig> rigs(config.clients);
-  for (std::uint32_t i = 0; i < config.clients; ++i) {
-    const auto id = static_cast<ProcessId>(config.n + i);
-    rigs[i].transport = transports[id].get();
-    rigs[i].engine =
-        std::make_unique<AsyncEngine>(*transports[id], keys, ec);
-    rigs[i].workload =
-        std::make_unique<app::Workload>(client_workload(config, i));
-    rigs[i].target = config.requests_per_client;
-    rigs[i].response_chain = id;
-  }
+  std::vector<ClientRig> rigs;
+  for (std::uint32_t i = 0; i < config.clients; ++i)
+    rigs.push_back(make_rig(*transports[config.n + i], keys, config, i));
 
   for (auto& transport : transports) transport->start();
-  const auto run_until = [&](const std::function<bool()>& pred,
-                             std::uint64_t timeout_ns) {
-    const std::uint64_t deadline = loop.now_ns() + timeout_ns;
-    while (!pred()) {
-      const std::uint64_t now = loop.now_ns();
-      if (now >= deadline) return false;
-      loop.poll_once(std::min<std::uint64_t>(deadline - now, 5'000'000));
-    }
-    return true;
-  };
   const auto fully_connected = [&] {
     for (ProcessId from = 0; from < total; ++from)
       for (ProcessId to = 0; to < total; ++to)
         if (from != to && !transports[from]->connected_to(to)) return false;
     return true;
   };
-  QSEL_REQUIRE_MSG(run_until(fully_connected, 10'000'000'000),
+  QSEL_REQUIRE_MSG(loop.run_until(fully_connected, 10'000'000'000),
                    "loopback mesh did not connect");
 
   const auto started = std::chrono::steady_clock::now();
   start_load(rigs, config, report.latency);
   if (config.requests_per_client > 0) {
-    run_until([&] { return all_done(rigs); }, 120'000'000'000ULL);
+    loop.run_until([&] { return all_done(rigs); }, 120'000'000'000ULL);
   } else {
     loop.run_for(config.duration_ms * 1'000'000);
   }

@@ -30,7 +30,7 @@
 
 #include "app/workload.hpp"
 #include "crypto/sha256.hpp"
-#include "load/histogram.hpp"
+#include "metrics/histogram.hpp"
 #include "sim/network.hpp"
 #include "xpaxos/replica.hpp"
 
@@ -88,7 +88,7 @@ struct LoadReport {
   std::uint64_t retransmissions = 0;
   std::uint64_t view_changes = 0;
   std::uint64_t duration_ns = 0;  // virtual (sim) or wall (loopback)
-  LatencyHistogram latency;
+  metrics::LatencyHistogram latency;
   /// State digest of the furthest-executed surviving replica (the
   /// equivalence battery compares it across pipeline windows).
   crypto::Digest app_digest{};

@@ -3,13 +3,17 @@
 // Experiment E5 (message reduction from running on an active quorum,
 // Distler et al. motivation in the paper's introduction) and E8 (UPDATE
 // gossip cost) count messages by type and by link; the simulator feeds
-// this sink on every send.
+// this sink on every send. A send is one lookup in the tag-keyed map plus
+// one increment in a flat n x n link array (whose row sums are the
+// per-sender totals). Tags, not net::WireType, key the map: the PBFT and
+// BChain baselines and test payloads have no wire type.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -17,6 +21,9 @@ namespace qsel::metrics {
 
 class MessageStats {
  public:
+  /// Counts links among processes 0..n-1.
+  explicit MessageStats(ProcessId n);
+
   void record_send(ProcessId from, ProcessId to, std::string_view type,
                    std::size_t bytes);
 
@@ -37,20 +44,20 @@ class MessageStats {
   /// Messages sent by one process (any destination).
   std::uint64_t by_sender(ProcessId from) const;
 
-  const std::map<std::string, std::uint64_t, std::less<>>& type_counts()
-      const {
-    return by_type_;
-  }
-
   void reset();
 
  private:
+  struct Count {
+    std::uint64_t messages = 0;
+    std::uint64_t bytes = 0;
+  };
+  const Count* find(std::string_view type) const;
+
+  ProcessId n_;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
-  std::map<std::string, std::uint64_t, std::less<>> by_type_;
-  std::map<std::string, std::uint64_t, std::less<>> bytes_by_type_;
-  std::map<std::pair<ProcessId, ProcessId>, std::uint64_t> by_link_;
-  std::map<ProcessId, std::uint64_t> by_sender_;
+  std::map<std::string, Count, std::less<>> by_type_;
+  std::vector<std::uint64_t> by_link_;  // [from * n + to]
 };
 
 }  // namespace qsel::metrics

@@ -123,6 +123,17 @@ void EventLoop::run_for(std::uint64_t duration_ns) {
   }
 }
 
+bool EventLoop::run_until(const std::function<bool()>& pred,
+                          std::uint64_t timeout_ns) {
+  const std::uint64_t deadline = now_ns() + timeout_ns;
+  while (!pred()) {
+    const std::uint64_t now = now_ns();
+    if (now >= deadline) return false;
+    poll_once(std::min<std::uint64_t>(deadline - now, 5'000'000));
+  }
+  return true;
+}
+
 void EventLoop::run() {
   stopped_ = false;
   while (!stopped_) poll_once(1'000'000'000);

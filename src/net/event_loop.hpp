@@ -78,6 +78,10 @@ class EventLoop {
   /// Pumps poll rounds until `duration_ns` of real time has elapsed.
   void run_for(std::uint64_t duration_ns);
 
+  /// Pumps poll rounds (at most 5 ms each) until `pred` holds; false if
+  /// `timeout_ns` of real time passed first.
+  bool run_until(const std::function<bool()>& pred, std::uint64_t timeout_ns);
+
   /// Pumps until stop() is called (from a callback or timer).
   void run();
   void stop() { stopped_ = true; }

@@ -134,17 +134,6 @@ bool LoopbackCluster::fully_connected() const {
   return true;
 }
 
-bool LoopbackCluster::run_until(const std::function<bool()>& pred,
-                                std::uint64_t timeout_ns) {
-  const std::uint64_t deadline = loop_.now_ns() + timeout_ns;
-  while (!pred()) {
-    const std::uint64_t now = loop_.now_ns();
-    if (now >= deadline) return false;
-    loop_.poll_once(std::min<std::uint64_t>(deadline - now, 5'000'000));
-  }
-  return true;
-}
-
 void LoopbackCluster::crash(ProcessId id) {
   QSEL_REQUIRE(id < config_.n);
   processes_[id]->stop();

@@ -97,7 +97,9 @@ class LoopbackCluster {
 
   /// Pumps the event loop until `pred` holds; false on timeout.
   bool run_until(const std::function<bool()>& pred,
-                 std::uint64_t timeout_ns);
+                 std::uint64_t timeout_ns) {
+    return loop_.run_until(pred, timeout_ns);
+  }
   void run_for(std::uint64_t duration_ns) { loop_.run_for(duration_ns); }
 
   /// Stops the node's heartbeats and closes all its sockets; peers notice

@@ -23,7 +23,6 @@ GroupEngines::GroupEngines(net::Transport& base,
     Entry entry;
     entry.keys = std::make_unique<crypto::KeyRegistry>(
         endpoint.spec.local_count(), endpoint.spec.key_seed(key_seed));
-    entry.transport = &mux_.add_group(endpoint.spec);
 
     smr::RequestEngineConfig engine_config;
     engine_config.replicas =
@@ -31,13 +30,7 @@ GroupEngines::GroupEngines(net::Transport& base,
     engine_config.f = endpoint.f;
     engine_config.retry_timeout = retry_timeout;
     entry.engine = std::make_unique<smr::RequestEngine>(
-        *entry.transport, *entry.keys, *self_local, engine_config);
-
-    smr::RequestEngine* engine = entry.engine.get();
-    entry.transport->set_handler(
-        [engine](ProcessId from, const sim::PayloadPtr& message) {
-          engine->on_message(from, message);
-        });
+        mux_.add_group(endpoint.spec), *entry.keys, engine_config);
     entries_.emplace(id, std::move(entry));
   }
 }

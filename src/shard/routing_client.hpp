@@ -16,7 +16,7 @@
 // GroupEngines is the shared substrate (also used by the migration
 // coordinator): one GroupMux over the client's own transport, and per
 // group a GroupTransport slice, the group's KeyRegistry, and an
-// smr::RequestEngine wired to it.
+// smr::RequestEngine installed on that slice.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +52,7 @@ class GroupEngines {
  private:
   struct Entry {
     std::unique_ptr<crypto::KeyRegistry> keys;
-    GroupTransport* transport = nullptr;  // owned by mux_
-    std::unique_ptr<smr::RequestEngine> engine;
+    std::unique_ptr<smr::RequestEngine> engine;  // over mux_'s group view
   };
 
   net::Transport& base_;

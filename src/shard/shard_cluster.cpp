@@ -1,6 +1,5 @@
 #include "shard/shard_cluster.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -135,17 +134,6 @@ bool ShardCluster::fully_connected() const {
       if (to == from || crashed_.contains(to)) continue;
       if (!transports_[from]->connected_to(to)) return false;
     }
-  }
-  return true;
-}
-
-bool ShardCluster::run_until(const std::function<bool()>& pred,
-                             std::uint64_t timeout_ns) {
-  const std::uint64_t deadline = loop_.now_ns() + timeout_ns;
-  while (!pred()) {
-    const std::uint64_t now = loop_.now_ns();
-    if (now >= deadline) return false;
-    loop_.poll_once(std::min<std::uint64_t>(deadline - now, 5'000'000));
   }
   return true;
 }

@@ -69,7 +69,9 @@ class ShardCluster {
   bool start(std::uint64_t timeout_ns = 20'000'000'000);
 
   net::EventLoop& loop() { return loop_; }
-  bool run_until(const std::function<bool()>& pred, std::uint64_t timeout_ns);
+  bool run_until(const std::function<bool()>& pred, std::uint64_t timeout_ns) {
+    return loop_.run_until(pred, timeout_ns);
+  }
   void run_for(std::uint64_t duration_ns) { loop_.run_for(duration_ns); }
 
   RoutingClient& client(ProcessId i);  // i < kRoutingClients

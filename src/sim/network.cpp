@@ -14,7 +14,8 @@ Network::Network(Simulator& simulator, ProcessId n, NetworkConfig config,
       link_disabled_(static_cast<std::size_t>(n) * n, false),
       link_duplicate_(static_cast<std::size_t>(n) * n, false),
       link_extra_delay_(static_cast<std::size_t>(n) * n, 0),
-      link_last_delivery_(static_cast<std::size_t>(n) * n, 0) {
+      link_last_delivery_(static_cast<std::size_t>(n) * n, 0),
+      stats_(n) {
   QSEL_REQUIRE(n > 0 && n <= kMaxProcesses);
 }
 

@@ -1,67 +1,65 @@
 #include "smr/client.hpp"
 
+#include <utility>
+
 #include "common/assert.hpp"
-#include "common/logging.hpp"
 
 namespace qsel::smr {
 
 RequestEngine::RequestEngine(net::Transport& transport,
-                             const crypto::KeyRegistry& keys, ProcessId self,
+                             const crypto::KeyRegistry& keys,
                              RequestEngineConfig config)
-    : transport_(transport), signer_(keys, self), config_(config) {
+    : transport_(transport),
+      signer_(keys, transport.self()),
+      config_(std::move(config)) {
   if (config_.replica_set.empty())
     config_.replica_set = ProcessSet::full(config_.replicas);
-  QSEL_REQUIRE(!config_.replica_set.contains(self));
+  QSEL_REQUIRE(!config_.replica_set.contains(self()));
   QSEL_REQUIRE(static_cast<int>(config_.replica_set.size()) > config_.f);
+  transport_.set_handler([this](ProcessId from, const sim::PayloadPtr& m) {
+    on_message(from, m);
+  });
 }
 
 void RequestEngine::submit(std::vector<std::uint8_t> op, Callback done) {
-  QSEL_REQUIRE(in_flight_ == nullptr);
-  in_flight_ = ClientRequest::make(signer_, next_seq_++, std::move(op));
-  done_ = std::move(done);
-  replies_.clear();
-  issued_at_ = transport_.timers().now();
-  send_current();
+  const std::uint64_t seq = next_seq_++;
+  Pending& pending = pending_[seq];
+  pending.request = ClientRequest::make(signer_, seq, std::move(op));
+  pending.done = std::move(done);
+  pending.issued_at = transport_.timers().now();
+  transport_.broadcast(config_.replica_set, pending.request);
+  arm_retry(seq);
 }
 
-void RequestEngine::abort() {
-  in_flight_ = nullptr;
-  done_ = nullptr;
-  replies_.clear();
-  retry_timer_.cancel();
-}
-
-void RequestEngine::send_current() {
-  QSEL_ASSERT(in_flight_ != nullptr);
-  transport_.broadcast(config_.replica_set, in_flight_);
-  arm_retry();
-}
-
-void RequestEngine::arm_retry() {
-  retry_timer_.cancel();
-  retry_timer_ =
-      transport_.timers().schedule_timer(config_.retry_timeout, [this] {
-        if (in_flight_ == nullptr) return;
+void RequestEngine::arm_retry(std::uint64_t client_seq) {
+  Pending& pending = pending_.at(client_seq);
+  pending.retry = transport_.timers().schedule_timer(
+      config_.retry_timeout, [this, client_seq] {
+        const auto it = pending_.find(client_seq);
+        if (it == pending_.end()) return;
         ++retransmissions_;
-        send_current();
+        transport_.broadcast(config_.replica_set, it->second.request);
+        arm_retry(client_seq);
       });
 }
 
 void RequestEngine::on_message(ProcessId from, const sim::PayloadPtr& message) {
   (void)from;
   const auto reply = std::dynamic_pointer_cast<const ReplyMessage>(message);
-  if (reply == nullptr || in_flight_ == nullptr) return;
+  if (reply == nullptr) return;
+  if (reply->client != self()) return;
+  const auto it = pending_.find(reply->client_seq);
+  if (it == pending_.end()) return;  // already settled (or never ours)
   if (!reply->verify(signer_, config_.replicas)) return;
   if (!config_.replica_set.contains(reply->replica)) return;
-  if (reply->client != self() || reply->client_seq != in_flight_->client_seq)
-    return;
-  ProcessSet& voters = replies_[reply->result];
+  Pending& pending = it->second;
+  ProcessSet& voters = pending.replies[reply->result];
   voters.insert(reply->replica);
   if (voters.size() <= config_.f) return;  // need f+1 matching
 
   Outcome outcome;
-  outcome.client_seq = in_flight_->client_seq;
-  outcome.latency = transport_.timers().now() - issued_at_;
+  outcome.client_seq = reply->client_seq;
+  outcome.latency = transport_.timers().now() - pending.issued_at;
   if (const auto typed = TypedResult::parse(reply->result)) {
     outcome.status = typed->status;
     outcome.config_epoch = typed->epoch;
@@ -69,14 +67,9 @@ void RequestEngine::on_message(ProcessId from, const sim::PayloadPtr& message) {
   } else {
     outcome.value = reply->result;
   }
-  in_flight_ = nullptr;
-  retry_timer_.cancel();
-  replies_.clear();
-  Callback done = std::move(done_);
-  done_ = nullptr;
-  QSEL_LOG(kTrace, "client")
-      << "c" << self() << " completed seq " << outcome.client_seq << " ("
-      << result_status_name(outcome.status) << ")";
+  pending.retry.cancel();
+  Callback done = std::move(pending.done);
+  pending_.erase(it);  // before the callback: it may submit re-entrantly
   if (done) done(outcome);
 }
 
@@ -84,14 +77,7 @@ void RequestEngine::on_message(ProcessId from, const sim::PayloadPtr& message) {
 
 Client::Client(net::Transport& transport, const crypto::KeyRegistry& keys,
                ClientConfig config)
-    : engine_(transport, keys, transport.self(),
-              RequestEngineConfig{config.replicas, config.f,
-                                  config.replica_set, config.retry_timeout}),
-      workload_(config.workload) {
-  transport.set_handler([this](ProcessId from, const sim::PayloadPtr& m) {
-    engine_.on_message(from, m);
-  });
-}
+    : engine_(transport, keys, config), workload_(config.workload) {}
 
 void Client::start(std::uint64_t count) {
   target_ = count;
@@ -109,14 +95,13 @@ void Client::issue_next() {
   engine_.submit(op.encode(), [this](const Outcome& outcome) {
     if (outcome.status == ResultStatus::kOk) {
       ++completed_;
-      latencies_.record(static_cast<double>(outcome.latency));
+      latencies_.record(static_cast<std::uint64_t>(outcome.latency));
     } else {
-      // Typed reject: surfaced to the hook/counters; the plain workload
-      // client has no shard map to refetch, so it just moves on (the
-      // routing client is the component that re-routes).
+      // Typed reject: counted; the plain workload client has no shard
+      // map to refetch, so it just moves on (the routing client is the
+      // component that re-routes).
       ++rejects_[outcome.status];
     }
-    if (outcome_hook_) outcome_hook_(outcome);
     issue_next();
   });
 }

@@ -1,15 +1,19 @@
 // Generic SMR client machinery used against every protocol in the repo.
 //
-// RequestEngine is the reusable core: it signs one operation at a time,
+// RequestEngine is the one client engine: it signs each operation,
 // broadcasts it to a *replica set* (any subset of the transport's id
 // space — a shard group, not necessarily processes 0..n-1; leader/primary
 // tracking is unnecessary because non-leaders relay and the retransmission
 // timer rides out view changes), and accepts an outcome once f+1 replicas
 // replied with the same result bytes — at least one of them is correct.
-// Outcomes are surfaced typed: results carrying a smr::TypedResult
-// envelope (WRONG_GROUP / FROZEN / STALE_EPOCH with the replier's config
-// epoch) are parsed and reported as such instead of being mistaken for
-// data or silently never matching.
+// Any number of requests may be in flight: each pending request, keyed by
+// client_seq, has its own retransmission timer and reply tally, so
+// outcomes settle independently and in any order. Protocol harnesses and
+// routing clients keep one request in flight; the load generator keeps a
+// window so the leader's pipeline fills. Outcomes are surfaced typed:
+// results carrying a smr::TypedResult envelope (WRONG_GROUP / FROZEN /
+// STALE_EPOCH with the replier's config epoch) are parsed and reported as
+// such instead of being mistaken for data or silently never matching.
 //
 // Client wraps one engine with a synthetic workload and completion
 // counters — the closed-loop driver the protocol experiments use. Both
@@ -63,76 +67,63 @@ class RequestEngine {
  public:
   using Callback = std::function<void(const Outcome&)>;
 
-  /// Does not install a transport handler: the owner routes incoming
-  /// payloads to on_message (a transport may be shared).
+  /// Installs itself as `transport`'s handler; self() = transport.self().
+  /// The transport must be this engine's own (its slot of the simulated
+  /// network, a dedicated TCP transport, or one group's view of a mux).
   RequestEngine(net::Transport& transport, const crypto::KeyRegistry& keys,
-                ProcessId self, RequestEngineConfig config);
+                RequestEngineConfig config);
+  RequestEngine(const RequestEngine&) = delete;
+  RequestEngine& operator=(const RequestEngine&) = delete;
 
   /// Signs and broadcasts `op`; `done` fires exactly once, when f+1
-  /// matching replies are in. One request in flight at a time.
+  /// matching replies are in. `done` may submit again.
   void submit(std::vector<std::uint8_t> op, Callback done);
 
-  /// Abandons the in-flight request (no callback); used when the owner
-  /// decides to re-route.
-  void abort();
-
-  void on_message(ProcessId from, const sim::PayloadPtr& message);
-
-  bool idle() const { return in_flight_ == nullptr; }
+  std::size_t outstanding() const { return pending_.size(); }
   ProcessId self() const { return signer_.self(); }
-  const crypto::Signer& signer() const { return signer_; }
   std::uint64_t retransmissions() const { return retransmissions_; }
-  std::uint64_t next_seq() const { return next_seq_; }
-  const RequestEngineConfig& config() const { return config_; }
 
  private:
-  void send_current();
-  void arm_retry();
+  struct Pending {
+    std::shared_ptr<const ClientRequest> request;
+    Callback done;
+    SimTime issued_at = 0;
+    sim::TimerHandle retry;
+    std::map<std::string, ProcessSet> replies;  // result -> voters
+  };
+
+  void on_message(ProcessId from, const sim::PayloadPtr& message);
+  void arm_retry(std::uint64_t client_seq);
 
   net::Transport& transport_;
   crypto::Signer signer_;
   RequestEngineConfig config_;
-
   std::uint64_t next_seq_ = 1;
   std::uint64_t retransmissions_ = 0;
-  std::shared_ptr<const ClientRequest> in_flight_;
-  Callback done_;
-  SimTime issued_at_ = 0;
-  sim::TimerHandle retry_timer_;
-  std::map<std::string, ProcessSet> replies_;
+  std::map<std::uint64_t, Pending> pending_;  // by client_seq
 };
 
-struct ClientConfig {
-  ProcessId replicas = 4;  // n; replica ids are 0..n-1
-  int f = 1;
-  /// Subset of replicas to address; empty = all of 0..replicas-1.
-  ProcessSet replica_set;
-  SimDuration retry_timeout = 50'000'000;  // 50 ms
+struct ClientConfig : RequestEngineConfig {
   app::WorkloadConfig workload;
 };
 
 class Client {
  public:
-  /// Installs itself as `transport`'s handler; the transport must be this
-  /// client's own (its slot of the simulated network, or a dedicated TCP
-  /// transport).
+  /// The engine installs itself as `transport`'s handler; the transport
+  /// must be this client's own (its slot of the simulated network, or a
+  /// dedicated TCP transport).
   Client(net::Transport& transport, const crypto::KeyRegistry& keys,
          ClientConfig config);
 
   /// Issues `count` requests back to back; 0 = keep issuing forever.
   void start(std::uint64_t count);
 
-  /// Observes every settled outcome (tests; typed-reject assertions).
-  void set_outcome_hook(std::function<void(const Outcome&)> hook) {
-    outcome_hook_ = std::move(hook);
-  }
-
   ProcessId self() const { return engine_.self(); }
   std::uint64_t completed() const { return completed_; }
   std::uint64_t retransmissions() const { return engine_.retransmissions(); }
   /// Typed rejects seen, by status (kWrongGroup / kFrozen / kStaleEpoch).
   std::uint64_t rejects(ResultStatus status) const;
-  const metrics::Histogram& latencies() const { return latencies_; }
+  const metrics::LatencyHistogram& latencies() const { return latencies_; }
 
  private:
   void issue_next();
@@ -142,8 +133,7 @@ class Client {
   std::uint64_t target_ = 0;
   std::uint64_t completed_ = 0;
   std::map<ResultStatus, std::uint64_t> rejects_;
-  metrics::Histogram latencies_;
-  std::function<void(const Outcome&)> outcome_hook_;
+  metrics::LatencyHistogram latencies_;
 };
 
 }  // namespace qsel::smr

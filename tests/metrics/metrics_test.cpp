@@ -3,51 +3,14 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "metrics/histogram.hpp"
 #include "metrics/message_stats.hpp"
 #include "metrics/table.hpp"
 
 namespace qsel::metrics {
 namespace {
 
-TEST(HistogramTest, BasicStats) {
-  Histogram h;
-  for (double v : {5.0, 1.0, 3.0, 2.0, 4.0}) h.record(v);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.min(), 1.0);
-  EXPECT_EQ(h.max(), 5.0);
-  EXPECT_EQ(h.mean(), 3.0);
-  EXPECT_EQ(h.median(), 3.0);
-  EXPECT_EQ(h.quantile(0.0), 1.0);
-  EXPECT_EQ(h.quantile(1.0), 5.0);
-}
-
-TEST(HistogramTest, RecordAfterQueryKeepsOrderCorrect) {
-  Histogram h;
-  h.record(10.0);
-  EXPECT_EQ(h.median(), 10.0);  // forces the sort
-  h.record(0.0);
-  h.record(20.0);
-  EXPECT_EQ(h.median(), 10.0);
-  EXPECT_EQ(h.min(), 0.0);
-  EXPECT_EQ(h.max(), 20.0);
-}
-
-TEST(HistogramTest, EmptyThrows) {
-  Histogram h;
-  EXPECT_THROW(h.mean(), std::invalid_argument);
-  EXPECT_THROW(h.quantile(0.5), std::invalid_argument);
-}
-
-TEST(HistogramTest, ResetClears) {
-  Histogram h;
-  h.record(1.0);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-}
-
 TEST(MessageStatsTest, CountsByTypeLinkSender) {
-  MessageStats stats;
+  MessageStats stats(3);
   stats.record_send(0, 1, "a", 10);
   stats.record_send(0, 1, "a", 10);
   stats.record_send(1, 0, "b", 5);

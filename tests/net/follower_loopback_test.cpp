@@ -7,8 +7,6 @@
 // DELTA-UPDATE, ROW-DIGEST and FOLLOWERS all have wire encodings already.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -62,18 +60,8 @@ TEST(FollowerLoopbackTest, LeaderCrashMatchesSimulator) {
     processes.push_back(std::make_unique<runtime::FollowerProcess>(
         *transports[id], keys, config));
 
-  const auto run_until = [&](const std::function<bool()>& pred,
-                             std::uint64_t timeout_ns) {
-    const std::uint64_t deadline = loop.now_ns() + timeout_ns;
-    while (!pred()) {
-      const std::uint64_t now = loop.now_ns();
-      if (now >= deadline) return false;
-      loop.poll_once(std::min<std::uint64_t>(deadline - now, 5 * kMs));
-    }
-    return true;
-  };
   for (auto& transport : transports) transport->start();
-  ASSERT_TRUE(run_until(
+  ASSERT_TRUE(loop.run_until(
       [&] {
         for (ProcessId from = 0; from < kN; ++from)
           for (ProcessId to = 0; to < kN; ++to)
@@ -96,7 +84,7 @@ TEST(FollowerLoopbackTest, LeaderCrashMatchesSimulator) {
         return false;
     return true;
   };
-  EXPECT_TRUE(run_until(survivors_agree, 60'000 * kMs))
+  EXPECT_TRUE(loop.run_until(survivors_agree, 60'000 * kMs))
       << "simulator settled on leader p" << expected->first << " with "
       << expected->second.to_string();
   for (ProcessId id = 1; id < kN; ++id) {

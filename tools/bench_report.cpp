@@ -386,9 +386,8 @@ struct Metric {
 //   gate_histogram_determinism      0.0 iff two identical (config, seed)
 //                                   sim runs produce bit-identical reports.
 //
-// The loopback arms (real TCP, wall clock) report committed ops/sec and
-// p50/p99/p999 for the serial and pipelined+batched paths, best-of-3
-// trials; informational, not gated. --quick shortens only these.
+// Wall-clock loopback figures for the same load driver come from
+// perfbench (tcp_serial, tcp_window), as medians over repeated runs.
 // --------------------------------------------------------------------------
 
 load::LoadConfig bench6_sim_config() {
@@ -447,54 +446,6 @@ void bench6_sim_metrics(std::vector<Metric>& metrics,
                      static_cast<double>(batched.prepares) /
                          static_cast<double>(unbatched.prepares)});
   gate_keys.push_back("gate_batch_prepare_ratio");
-}
-
-void bench6_loopback_metrics(bool quick, std::vector<Metric>& metrics) {
-  // Each arm runs closed-loop at its own peak-stable depth — the usual
-  // saturation-throughput comparison. The serial arm is RTT-bound at any
-  // depth (one instance in flight, one request per instance), so deeper
-  // queues buy nothing but queueing delay and, past ~8×16 outstanding,
-  // client-retransmission storms that trip the failure detector into
-  // view changes. The pipelined arm needs depth to keep its
-  // window×batch = 128-slot flight ceiling full.
-  load::LoadConfig config;
-  config.seed = 6;
-  config.clients = 8;
-  config.duration_ms = quick ? 250 : 1000;
-
-  const auto best_of = [&](std::size_t window, std::size_t batch,
-                           std::uint32_t outstanding) {
-    config.pipeline_window = window;
-    config.max_batch = batch;
-    config.outstanding = outstanding;
-    load::LoadReport best;
-    for (int trial = 0; trial < 3; ++trial) {
-      load::LoadReport r = load::run_loopback(config);
-      if (trial == 0 || r.committed > best.committed) best = std::move(r);
-    }
-    return best;
-  };
-
-  const load::LoadReport serial = best_of(1, 1, 4);
-  const load::LoadReport pipelined = best_of(16, 8, 32);
-  const auto emit = [&](const char* arm, const load::LoadReport& r) {
-    const std::string prefix = std::string("loopback_") + arm;
-    metrics.push_back({prefix + "_ops_per_sec", r.throughput_per_sec()});
-    metrics.push_back({prefix + "_p50_ns",
-                       static_cast<double>(r.latency.p50())});
-    metrics.push_back({prefix + "_p99_ns",
-                       static_cast<double>(r.latency.p99())});
-    metrics.push_back({prefix + "_p999_ns",
-                       static_cast<double>(r.latency.p999())});
-  };
-  emit("serial", serial);
-  emit("pipelined", pipelined);
-  metrics.push_back(
-      {"loopback_pipelined_over_serial_ops",
-       serial.committed == 0
-           ? 0.0
-           : static_cast<double>(pipelined.committed) /
-                 static_cast<double>(serial.committed)});
 }
 
 // --------------------------------------------------------------------------
@@ -789,7 +740,6 @@ int main(int argc, char** argv) {
 
   if (bench6) {
     bench6_sim_metrics(metrics, gate_keys);
-    bench6_loopback_metrics(quick, metrics);
     metrics.push_back({"quick", quick ? 1.0 : 0.0});
     return finish_report(metrics, gate_keys, out_path, baseline_path,
                          max_regress);

@@ -42,8 +42,9 @@
 #      --quick against the committed BENCH_6.json. The gated metrics are
 #      deterministic sim-substrate ratios (serial/pipelined committed
 #      ops, batched/unbatched PREPAREs, histogram-report determinism), so
-#      the 25% margin is meaningful on any host; the loopback timed arms
-#      (best-of-3) are reported but not gated.
+#      the 25% margin is meaningful on any host. BENCH_6 has no timed
+#      arms: wall-clock loopback figures come from perfbench (tcp_serial,
+#      tcp_window) as medians.
 #
 #  10. large-n scaling gate: tools/bench_report --bench7 against the
 #      committed BENCH_7.json — suspicion-plane bytes/round at n in
