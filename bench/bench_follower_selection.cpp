@@ -50,8 +50,9 @@ int main() {
   int step = 1;
   for (auto [u, v] : result.suspicions) {
     g.add_edge(u, v);
-    trace.row(step++, "p" + std::to_string(u) + " ~ p" + std::to_string(v),
-              game.leader_for(g));
+    std::string label = "p";
+    label.append(std::to_string(u)).append(" ~ p").append(std::to_string(v));
+    trace.row(step++, label, game.leader_for(g));
   }
   trace.print(std::cout);
   return 0;

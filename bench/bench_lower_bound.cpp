@@ -6,6 +6,7 @@
 // faulty processes (a vertex cover of size f exists).
 #include <cstdint>
 #include <iostream>
+#include <string>
 
 #include "adversary/quorum_game.hpp"
 #include "common/combinatorics.hpp"
@@ -29,9 +30,9 @@ int main() {
     int step = 1;
     for (auto [u, v] : result.suspicions) {
       g.add_edge(u, v);
-      table.row(step++,
-                "p" + std::to_string(u) + " ~ p" + std::to_string(v),
-                game.quorum_for(g).to_string());
+      std::string label = "p";
+      label.append(std::to_string(u)).append(" ~ p").append(std::to_string(v));
+      table.row(step++, label, game.quorum_for(g).to_string());
     }
     table.print(std::cout);
     const auto cover = graph::vertex_cover_within(g, f);

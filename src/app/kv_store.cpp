@@ -130,6 +130,10 @@ void KvStore::install(
 }
 
 crypto::Digest KvStore::state_digest() const {
+  return crypto::sha256(snapshot());
+}
+
+std::vector<std::uint8_t> KvStore::snapshot() const {
   net::Encoder enc;
   enc.u64(ops_applied_);
   enc.u64(data_.size());
@@ -137,7 +141,24 @@ crypto::Digest KvStore::state_digest() const {
     enc.str(key);
     enc.str(value);
   }
-  return crypto::sha256(enc.view());
+  return std::move(enc).take();
+}
+
+bool KvStore::restore(std::span<const std::uint8_t> bytes) {
+  net::Decoder dec(bytes);
+  const std::uint64_t ops_applied = dec.u64();
+  const std::uint64_t size = dec.u64();
+  std::map<std::string, std::string> data;
+  // Each pair costs at least two length prefixes, so a lying size runs
+  // the decoder off the buffer rather than looping on.
+  for (std::uint64_t i = 0; i < size && dec.ok(); ++i) {
+    std::string key = dec.str();
+    data.insert_or_assign(std::move(key), dec.str());
+  }
+  if (!dec.done() || data.size() != size) return false;
+  ops_applied_ = ops_applied;
+  data_ = std::move(data);
+  return true;
 }
 
 }  // namespace qsel::app

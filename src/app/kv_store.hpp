@@ -54,6 +54,8 @@ class KvStore final : public StateMachine {
   /// Digest over (sorted contents, ops_applied): equal digests mean equal
   /// executed histories for deterministic workloads.
   crypto::Digest state_digest() const override;
+  std::vector<std::uint8_t> snapshot() const override;
+  bool restore(std::span<const std::uint8_t> bytes) override;
 
   // --- key-range accessors (shard migration snapshots) ------------------
 

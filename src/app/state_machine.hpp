@@ -8,11 +8,14 @@
 // apply_encoded is a pure function of (current state, op bytes) — same
 // history in, same results and state_digest out on every replica —
 // and malformed bytes must yield a deterministic result, never a throw.
+// snapshot()/restore() carry the whole state across replicas for
+// checkpoint state transfer (DESIGN.md §16).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "crypto/sha256.hpp"
 
@@ -32,6 +35,13 @@ class StateMachine {
   /// Digest over the full machine state: equal digests mean equal
   /// executed histories for deterministic workloads.
   virtual crypto::Digest state_digest() const = 0;
+
+  /// Canonical encoding of the full state: equal states encode equal, and
+  /// restore(snapshot()) on any instance reproduces state_digest().
+  virtual std::vector<std::uint8_t> snapshot() const = 0;
+  /// Replaces the state with a snapshot() encoding. Malformed bytes return
+  /// false and leave the state unchanged.
+  virtual bool restore(std::span<const std::uint8_t> bytes) = 0;
 };
 
 }  // namespace qsel::app

@@ -149,14 +149,17 @@ void harvest_clients(const std::vector<ClientRig>& rigs, LoadReport& report) {
 }
 
 /// Ordering oracle over one replica's executed history: slots contiguous
-/// from 1 (batch entries share their slot), no client request executed
-/// twice, and — when clients are serial — per-client seqs ascending.
+/// (batch entries share their slot), no client request executed twice,
+/// and — when clients are serial — per-client seqs ascending. The history
+/// starts at slot 1, or just above the checkpoint the replica installed by
+/// state transfer.
 std::string check_history(const xpaxos::Replica& replica, ProcessId n,
                           bool serial_clients) {
-  SeqNum prev_slot = 0;
+  const auto& history = replica.executed_history();
+  SeqNum prev_slot = history.empty() ? 0 : history.front().slot - 1;
   std::set<std::pair<std::uint32_t, std::uint64_t>> seen;
   std::map<std::uint32_t, std::uint64_t> last_seq;
-  for (const auto& e : replica.executed_history()) {
+  for (const auto& e : history) {
     if (e.slot != prev_slot && e.slot != prev_slot + 1)
       return "slot gap: executed " + std::to_string(e.slot) + " after " +
              std::to_string(prev_slot);

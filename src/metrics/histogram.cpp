@@ -61,7 +61,7 @@ std::uint64_t LatencyHistogram::quantile(double p) const {
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < kBucketCount; ++i) {
     seen += buckets_[i];
-    if (seen >= rank) return bucket_upper(i);
+    if (seen >= rank) return std::min(bucket_upper(i), max_);
   }
   return max_;  // unreachable: seen reaches count_ >= rank
 }

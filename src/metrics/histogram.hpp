@@ -49,8 +49,9 @@ class LatencyHistogram {
   std::uint64_t mean() const { return count_ == 0 ? 0 : sum_ / count_; }
 
   /// Nearest-rank quantile, p in [0, 1]; returns the upper bound of the
-  /// bucket holding the ranked sample (so the true value is never
-  /// overstated by more than the bucket width). 0 when empty.
+  /// bucket holding the ranked sample, clamped to max() (so the true value
+  /// is never overstated by more than the bucket width, and no quantile
+  /// exceeds the largest sample). 0 when empty.
   std::uint64_t quantile(double p) const;
   std::uint64_t p50() const { return quantile(0.50); }
   std::uint64_t p99() const { return quantile(0.99); }

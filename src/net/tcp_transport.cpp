@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/random.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -118,6 +119,14 @@ void append_frame(std::vector<std::uint8_t>& out,
 
 int make_nonblocking_socket() {
   return ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+}
+
+// Every connection disables Nagle. flush() already gathers a poll round's
+// frames into one writev, so Nagle only adds the stall where a small frame
+// waits for the peer's delayed ACK (40 ms on Linux) behind an unacked one.
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 // Builds a socket address from a numeric IPv4 string; false on a host
@@ -564,6 +573,7 @@ void TcpTransport::dial(ProcessId to) {
     schedule_reconnect(to);
     return;
   }
+  set_nodelay(fd);
   sockaddr_in addr{};
   if (!make_address(peer_hosts_[to], peer_ports_[to], &addr)) {
     ::close(fd);
@@ -633,6 +643,7 @@ void TcpTransport::accept_ready() {
       if (errno == EINTR) continue;
       return;  // EAGAIN or a transient accept error; poll will re-arm
     }
+    set_nodelay(fd);
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     Connection* raw = conn.get();

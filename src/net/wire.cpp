@@ -96,6 +96,7 @@ void encode_commit(const xpaxos::CommitMessage& msg, Encoder& enc) {
 void encode_viewchange(const xpaxos::ViewChangeMessage& msg, Encoder& enc) {
   enc.u64(msg.new_view);
   enc.process_id(msg.sender);
+  msg.stable.encode(enc);
   enc.u32(static_cast<std::uint32_t>(msg.prepared.size()));
   for (const xpaxos::PrepareMessage& p : msg.prepared)
     encode_prepare_fields(p, enc);
@@ -105,10 +106,30 @@ void encode_viewchange(const xpaxos::ViewChangeMessage& msg, Encoder& enc) {
 void encode_newview(const xpaxos::NewViewMessage& msg, Encoder& enc) {
   enc.u64(msg.view);
   enc.process_id(msg.leader);
+  msg.stable.encode(enc);
   enc.u32(static_cast<std::uint32_t>(msg.reproposals.size()));
   for (const xpaxos::PrepareMessage& p : msg.reproposals)
     encode_prepare_fields(p, enc);
   enc.signature(msg.sig);
+}
+
+void encode_checkpoint(const xpaxos::CheckpointMessage& msg, Encoder& enc) {
+  enc.u64(msg.slot);
+  enc.digest(msg.digest);
+  enc.process_id(msg.sender);
+  enc.signature(msg.sig);
+}
+
+void encode_state_request(const xpaxos::StateRequestMessage& msg,
+                          Encoder& enc) {
+  enc.u64(msg.slot);
+  enc.process_id(msg.sender);
+  enc.signature(msg.sig);
+}
+
+void encode_state(const xpaxos::StateMessage& msg, Encoder& enc) {
+  msg.stable.encode(enc);
+  enc.bytes(msg.snapshot);
 }
 
 void encode_group_frame(const GroupFrame& msg, Encoder& enc) {
@@ -280,11 +301,30 @@ bool decode_prepare_list(Decoder& dec, ProcessId n,
   return true;
 }
 
+/// A checkpoint certificate: slot, then (unless genesis) the digest and
+/// one signature per signer, at most n of them.
+bool decode_certificate(Decoder& dec, ProcessId n,
+                        xpaxos::CheckpointCertificate& out) {
+  out.slot = dec.u64();
+  if (!dec.ok()) return false;
+  if (out.slot == 0) return true;
+  out.digest = dec.digest();
+  const std::uint32_t count = dec.u32();
+  if (!dec.ok() || count == 0 || count > n) return false;
+  out.proofs.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    out.proofs.push_back(dec.signature());
+    if (!dec.ok() || out.proofs.back().signer >= n) return false;
+  }
+  return true;
+}
+
 sim::PayloadPtr decode_viewchange(Decoder& dec, ProcessId n) {
   auto msg = std::make_shared<xpaxos::ViewChangeMessage>();
   msg->new_view = dec.u64();
   msg->sender = dec.process_id();
   if (!dec.ok() || msg->sender >= n) return nullptr;
+  if (!decode_certificate(dec, n, msg->stable)) return nullptr;
   if (!decode_prepare_list(dec, n, msg->prepared)) return nullptr;
   msg->sig = dec.signature();
   if (!dec.done()) return nullptr;
@@ -296,9 +336,38 @@ sim::PayloadPtr decode_newview(Decoder& dec, ProcessId n) {
   msg->view = dec.u64();
   msg->leader = dec.process_id();
   if (!dec.ok() || msg->leader >= n) return nullptr;
+  if (!decode_certificate(dec, n, msg->stable)) return nullptr;
   if (!decode_prepare_list(dec, n, msg->reproposals)) return nullptr;
   msg->sig = dec.signature();
   if (!dec.done()) return nullptr;
+  return msg;
+}
+
+sim::PayloadPtr decode_checkpoint(Decoder& dec, ProcessId n) {
+  auto msg = std::make_shared<xpaxos::CheckpointMessage>();
+  msg->slot = dec.u64();
+  msg->digest = dec.digest();
+  msg->sender = dec.process_id();
+  msg->sig = dec.signature();
+  if (!dec.done() || msg->sender >= n || msg->slot == 0) return nullptr;
+  return msg;
+}
+
+sim::PayloadPtr decode_state_request(Decoder& dec, ProcessId n) {
+  auto msg = std::make_shared<xpaxos::StateRequestMessage>();
+  msg->slot = dec.u64();
+  msg->sender = dec.process_id();
+  msg->sig = dec.signature();
+  if (!dec.done() || msg->sender >= n) return nullptr;
+  return msg;
+}
+
+sim::PayloadPtr decode_state(Decoder& dec, ProcessId n) {
+  auto msg = std::make_shared<xpaxos::StateMessage>();
+  if (!decode_certificate(dec, n, msg->stable)) return nullptr;
+  msg->snapshot = dec.bytes();
+  // Genesis needs no transfer, so a STATE always carries a checkpoint.
+  if (!dec.done() || msg->stable.slot == 0) return nullptr;
   return msg;
 }
 
@@ -361,6 +430,18 @@ std::optional<std::vector<std::uint8_t>> encode_message(
                  dynamic_cast<const xpaxos::NewViewMessage*>(&message)) {
     enc.u8(static_cast<std::uint8_t>(WireType::kNewView));
     encode_newview(*newview, enc);
+  } else if (const auto* checkpoint =
+                 dynamic_cast<const xpaxos::CheckpointMessage*>(&message)) {
+    enc.u8(static_cast<std::uint8_t>(WireType::kCheckpoint));
+    encode_checkpoint(*checkpoint, enc);
+  } else if (const auto* state_request =
+                 dynamic_cast<const xpaxos::StateRequestMessage*>(&message)) {
+    enc.u8(static_cast<std::uint8_t>(WireType::kStateRequest));
+    encode_state_request(*state_request, enc);
+  } else if (const auto* state =
+                 dynamic_cast<const xpaxos::StateMessage*>(&message)) {
+    enc.u8(static_cast<std::uint8_t>(WireType::kState));
+    encode_state(*state, enc);
   } else if (const auto* frame = dynamic_cast<const GroupFrame*>(&message)) {
     enc.u8(static_cast<std::uint8_t>(WireType::kGroupFrame));
     encode_group_frame(*frame, enc);
@@ -400,6 +481,12 @@ sim::PayloadPtr decode_message(std::span<const std::uint8_t> body,
       return decode_newview(dec, n);
     case WireType::kGroupFrame:
       return decode_group_frame(dec);
+    case WireType::kCheckpoint:
+      return decode_checkpoint(dec, n);
+    case WireType::kStateRequest:
+      return decode_state_request(dec, n);
+    case WireType::kState:
+      return decode_state(dec, n);
   }
   return nullptr;
 }

@@ -39,6 +39,9 @@ enum class WireType : std::uint8_t {
   kViewChange = 10,    // xpaxos::ViewChangeMessage
   kNewView = 11,       // xpaxos::NewViewMessage
   kGroupFrame = 12,    // net::GroupFrame (opaque inner frame body)
+  kCheckpoint = 13,    // xpaxos::CheckpointMessage
+  kStateRequest = 14,  // xpaxos::StateRequestMessage
+  kState = 15,         // xpaxos::StateMessage
 };
 
 /// Encodes `message` as a frame body. Returns nullopt for payload types

@@ -130,26 +130,35 @@ class SmrCluster {
   }
 
   /// True when, for every slot executed by two honest live replicas, the
-  /// executed entries match exactly (prefix consistency of the log).
+  /// executed entries match exactly. Entries are matched by slot: a
+  /// replica that installed a checkpoint by state transfer holds only the
+  /// slots after it.
   bool histories_consistent() const {
-    for (ProcessId a : alive_replicas()) {
-      for (ProcessId b : alive_replicas()) {
-        if (a >= b) continue;
-        const auto& ha = replicas_[a]->executed_history();
-        const auto& hb = replicas_[b]->executed_history();
-        const std::size_t common = std::min(ha.size(), hb.size());
-        for (std::size_t i = 0; i < common; ++i) {
-          if (ha[i].slot != hb[i].slot || ha[i].client != hb[i].client ||
-              ha[i].client_seq != hb[i].client_seq ||
-              ha[i].op_digest != hb[i].op_digest)
-            return false;
-        }
-      }
-    }
+    for (ProcessId a : alive_replicas())
+      for (ProcessId b : alive_replicas())
+        if (a < b && !same_slots(replicas_[a]->executed_history(),
+                                 replicas_[b]->executed_history()))
+          return false;
     return true;
   }
 
  private:
+  /// Both histories are in slot order; compares the slots both executed.
+  static bool same_slots(const std::vector<smr::ExecutedEntry>& ha,
+                         const std::vector<smr::ExecutedEntry>& hb) {
+    if (ha.empty() || hb.empty()) return true;
+    const SeqNum lo = std::max(ha.front().slot, hb.front().slot);
+    const SeqNum hi = std::min(ha.back().slot, hb.back().slot);
+    const auto before = [](const smr::ExecutedEntry& e, SeqNum slot) {
+      return e.slot < slot;
+    };
+    auto a = std::lower_bound(ha.begin(), ha.end(), lo, before);
+    auto b = std::lower_bound(hb.begin(), hb.end(), lo, before);
+    for (; a != ha.end() && a->slot <= hi; ++a, ++b)
+      if (b == hb.end() || *a != *b) return false;
+    return b == hb.end() || b->slot > hi;
+  }
+
   ProcessId total() const {
     return static_cast<ProcessId>(config_.n + config_.clients);
   }

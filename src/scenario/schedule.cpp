@@ -29,7 +29,8 @@ constexpr KindName kKindNames[] = {
 // Flat-field JSON extraction, same discipline as trace/jsonl.cpp: keys are
 // fixed identifiers, values are unsigned integers or short quoted names.
 std::size_t value_offset(std::string_view text, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle.append(key).append("\":");
   const std::size_t at = text.find(needle);
   if (at == std::string_view::npos) return std::string_view::npos;
   std::size_t offset = at + needle.size();

@@ -293,6 +293,37 @@ std::string ShardKv::apply(const ShardKvOp& op) {
 }
 
 crypto::Digest ShardKv::state_digest() const {
+  return crypto::sha256(snapshot());
+}
+
+void ShardKv::encode_migrations(
+    net::Encoder& enc, const std::map<std::uint64_t, Migration>& ms) {
+  enc.u32(static_cast<std::uint32_t>(ms.size()));
+  for (const auto& [id, m] : ms) {
+    enc.u64(id);
+    enc.str(m.lo);
+    enc.str(m.hi);
+    enc.u32(static_cast<std::uint32_t>(m.chunks.size()));
+    for (const std::uint32_t chunk : m.chunks) enc.u32(chunk);
+  }
+}
+
+bool ShardKv::decode_migrations(net::Decoder& dec,
+                                std::map<std::uint64_t, Migration>& out) {
+  const std::uint32_t count = dec.u32();
+  for (std::uint32_t i = 0; i < count && dec.ok(); ++i) {
+    const std::uint64_t id = dec.u64();
+    Migration& m = out[id];
+    m.lo = dec.str();
+    m.hi = dec.str();
+    const std::uint32_t chunks = dec.u32();
+    for (std::uint32_t c = 0; c < chunks && dec.ok(); ++c)
+      m.chunks.insert(dec.u32());
+  }
+  return dec.ok();
+}
+
+std::vector<std::uint8_t> ShardKv::snapshot() const {
   net::Encoder enc;
   enc.u64(config_epoch_);
   enc.u32(static_cast<std::uint32_t>(owned_.size()));
@@ -300,19 +331,32 @@ crypto::Digest ShardKv::state_digest() const {
     enc.str(lo);
     enc.str(hi);
   }
-  enc.u32(static_cast<std::uint32_t>(freezes_.size()));
-  for (const auto& [id, m] : freezes_) {
-    enc.u64(id);
-    enc.str(m.lo);
-    enc.str(m.hi);
+  encode_migrations(enc, freezes_);
+  encode_migrations(enc, installs_);
+  enc.bytes(kv_.snapshot());
+  return std::move(enc).take();
+}
+
+bool ShardKv::restore(std::span<const std::uint8_t> bytes) {
+  net::Decoder dec(bytes);
+  const std::uint64_t epoch = dec.u64();
+  const std::uint32_t count = dec.u32();
+  std::vector<std::pair<std::string, std::string>> owned;
+  for (std::uint32_t i = 0; i < count && dec.ok(); ++i) {
+    std::string lo = dec.str();
+    owned.emplace_back(std::move(lo), dec.str());
   }
-  enc.u32(static_cast<std::uint32_t>(installs_.size()));
-  for (const auto& [id, m] : installs_) {
-    enc.u64(id);
-    enc.u64(m.chunks.size());
-  }
-  enc.digest(kv_.state_digest());
-  return crypto::sha256(enc.view());
+  std::map<std::uint64_t, Migration> freezes;
+  std::map<std::uint64_t, Migration> installs;
+  if (!decode_migrations(dec, freezes) || !decode_migrations(dec, installs))
+    return false;
+  const std::vector<std::uint8_t> kv = dec.bytes();
+  if (!dec.done() || !kv_.restore(kv)) return false;
+  config_epoch_ = epoch;
+  owned_ = std::move(owned);
+  freezes_ = std::move(freezes);
+  installs_ = std::move(installs);
+  return true;
 }
 
 }  // namespace qsel::shard

@@ -40,6 +40,11 @@
 #include "common/types.hpp"
 #include "trace/tracer.hpp"
 
+namespace qsel::net {
+class Decoder;
+class Encoder;
+}
+
 namespace qsel::shard {
 
 /// Operations on a ShardKv, encoded as net::Encoder bytes. Client ops wrap
@@ -116,6 +121,10 @@ class ShardKv final : public app::StateMachine {
 
   std::string apply_encoded(std::span<const std::uint8_t> bytes) override;
   crypto::Digest state_digest() const override;
+  /// Ownership, fencing and migration bookkeeping plus the KvStore's own
+  /// snapshot; the tracer wiring is per replica and not part of it.
+  std::vector<std::uint8_t> snapshot() const override;
+  bool restore(std::span<const std::uint8_t> bytes) override;
 
   const app::KvStore& kv() const { return kv_; }
   std::uint64_t config_epoch() const { return config_epoch_; }
@@ -132,6 +141,10 @@ class ShardKv final : public app::StateMachine {
     std::set<std::uint32_t> chunks;  // installed chunk seqs (dest side)
   };
 
+  static void encode_migrations(net::Encoder& enc,
+                                const std::map<std::uint64_t, Migration>& ms);
+  static bool decode_migrations(net::Decoder& dec,
+                                std::map<std::uint64_t, Migration>& out);
   std::string apply(const ShardKvOp& op);
   void bump_epoch(std::uint64_t to);
 

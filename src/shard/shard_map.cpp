@@ -149,9 +149,21 @@ std::string ShardMapMachine::apply(const MapOp& op) {
 }
 
 crypto::Digest ShardMapMachine::state_digest() const {
+  return crypto::sha256(snapshot());
+}
+
+std::vector<std::uint8_t> ShardMapMachine::snapshot() const {
   net::Encoder enc;
   map_.encode(enc);
-  return crypto::sha256(enc.view());
+  return std::move(enc).take();
+}
+
+bool ShardMapMachine::restore(std::span<const std::uint8_t> bytes) {
+  net::Decoder dec(bytes);
+  auto map = ShardMap::decode(dec);
+  if (!map || !dec.done()) return false;
+  map_ = std::move(*map);
+  return true;
 }
 
 }  // namespace qsel::shard

@@ -83,6 +83,8 @@ class ShardMapMachine final : public app::StateMachine {
 
   std::string apply_encoded(std::span<const std::uint8_t> bytes) override;
   crypto::Digest state_digest() const override;
+  std::vector<std::uint8_t> snapshot() const override;
+  bool restore(std::span<const std::uint8_t> bytes) override;
 
   const ShardMap& map() const { return map_; }
 

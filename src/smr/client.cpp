@@ -22,13 +22,29 @@ RequestEngine::RequestEngine(net::Transport& transport,
 }
 
 void RequestEngine::submit(std::vector<std::uint8_t> op, Callback done) {
+  // Replicas keep replies for a client's kReplyWindow highest seqs only.
+  QSEL_REQUIRE(pending_.size() < kReplyWindow);
   const std::uint64_t seq = next_seq_++;
   Pending& pending = pending_[seq];
   pending.request = ClientRequest::make(signer_, seq, std::move(op));
   pending.done = std::move(done);
   pending.issued_at = transport_.timers().now();
-  transport_.broadcast(config_.replica_set, pending.request);
-  arm_retry(seq);
+  send_ready();
+}
+
+void RequestEngine::send_ready() {
+  // A replica takes a seq at or below (its highest executed one -
+  // kReplyWindow) as executed. So a seq goes out only while it is less
+  // than kReplyWindow above the oldest unsettled one; a later one waits
+  // here until that one settles, or it could strand it.
+  if (pending_.empty()) return;
+  const std::uint64_t limit = pending_.begin()->first + kReplyWindow;
+  for (auto it = pending_.lower_bound(next_unsent_);
+       it != pending_.end() && it->first < limit; ++it) {
+    transport_.broadcast(config_.replica_set, it->second.request);
+    arm_retry(it->first);
+    next_unsent_ = it->first + 1;
+  }
 }
 
 void RequestEngine::arm_retry(std::uint64_t client_seq) {
@@ -70,6 +86,7 @@ void RequestEngine::on_message(ProcessId from, const sim::PayloadPtr& message) {
   pending.retry.cancel();
   Callback done = std::move(pending.done);
   pending_.erase(it);  // before the callback: it may submit re-entrantly
+  send_ready();
   if (done) done(outcome);
 }
 

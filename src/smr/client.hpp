@@ -76,7 +76,10 @@ class RequestEngine {
   RequestEngine& operator=(const RequestEngine&) = delete;
 
   /// Signs and broadcasts `op`; `done` fires exactly once, when f+1
-  /// matching replies are in. `done` may submit again.
+  /// matching replies are in. `done` may submit again. Requires fewer than
+  /// kReplyWindow requests in flight (replicas bound their reply table).
+  /// A request kReplyWindow or more seqs above the oldest unsettled one is
+  /// held back until that one settles.
   void submit(std::vector<std::uint8_t> op, Callback done);
 
   std::size_t outstanding() const { return pending_.size(); }
@@ -93,12 +96,16 @@ class RequestEngine {
   };
 
   void on_message(ProcessId from, const sim::PayloadPtr& message);
+  /// Sends the held requests that are now within the reply window.
+  void send_ready();
   void arm_retry(std::uint64_t client_seq);
 
   net::Transport& transport_;
   crypto::Signer signer_;
   RequestEngineConfig config_;
   std::uint64_t next_seq_ = 1;
+  /// Pending seqs below this have been sent; the ones from it are held.
+  std::uint64_t next_unsent_ = 1;
   std::uint64_t retransmissions_ = 0;
   std::map<std::uint64_t, Pending> pending_;  // by client_seq
 };

@@ -15,6 +15,14 @@
 
 namespace qsel::smr {
 
+/// Replies a replica keeps per client: the results of the client's
+/// kReplyWindow highest executed seqs. A seq at or below (highest -
+/// kReplyWindow) is never executed again, which is exact while every seq
+/// a client has sent is less than kReplyWindow above its oldest unsettled
+/// one; RequestEngine holds later ones back. A constant, not a knob
+/// (DESIGN.md §16).
+inline constexpr std::uint64_t kReplyWindow = 256;
+
 struct ClientRequest final : sim::Payload {
   std::uint32_t client = 0;  // the client's network id
   std::uint64_t client_seq = 0;
@@ -58,6 +66,8 @@ struct ExecutedEntry {
   std::uint32_t client;
   std::uint64_t client_seq;
   crypto::Digest op_digest;
+
+  bool operator==(const ExecutedEntry&) const = default;
 };
 
 }  // namespace qsel::smr

@@ -21,7 +21,8 @@ void write_escaped(std::ostream& out, std::string_view s) {
 /// protocol identifiers, so collisions with quoted values do not arise in
 /// traces this library writes.
 std::size_t value_offset(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle.append(key).append("\":");
   const std::size_t at = line.find(needle);
   return at == std::string_view::npos ? std::string_view::npos
                                       : at + needle.size();

@@ -7,6 +7,11 @@
 // (footnote 1), so a receiver can (a) act on a COMMIT that overtook its
 // PREPARE (Fig. 3) and (b) detect leader equivocation or malformed
 // commits as provable commission failures.
+//
+// Checkpoints (DESIGN.md §16): every K slots each active replica signs a
+// CHECKPOINT over the digest of its snapshot; n - f matching ones form a
+// CheckpointCertificate, which VIEWCHANGE, NEWVIEW and STATE carry in
+// place of the log below it.
 #pragma once
 
 #include <memory>
@@ -89,12 +94,57 @@ struct CommitMessage final : sim::Payload {
   bool verify_sender(const crypto::Signer& verifier, ProcessId n) const;
 };
 
-/// Sent when moving to `new_view`; carries the sender's prepared log so
-/// the new leader can preserve ordered-but-unexecuted requests.
+/// A replica's signed claim that its snapshot after executing `slot`
+/// hashes to `digest`.
+struct CheckpointMessage final : sim::Payload {
+  SeqNum slot = 0;
+  crypto::Digest digest{};
+  ProcessId sender = kNoProcess;
+  crypto::Signature sig;  // by `sender`
+
+  std::string_view type_tag() const override { return "xpaxos.checkpoint"; }
+  std::size_t wire_size() const override { return 8 + 32 + 4 + 36; }
+
+  /// The bytes a CHECKPOINT(slot, digest) by `sender` signs; a
+  /// certificate's proofs are verified against them.
+  static std::vector<std::uint8_t> signed_bytes(SeqNum slot,
+                                                const crypto::Digest& digest,
+                                                ProcessId sender);
+  static std::shared_ptr<const CheckpointMessage> make(
+      const crypto::Signer& sender, SeqNum slot, const crypto::Digest& digest);
+  bool verify(const crypto::Signer& verifier, ProcessId n) const;
+};
+
+/// A stable checkpoint: CHECKPOINT signatures over (slot, digest) from
+/// n - f distinct replicas. Slot 0 with no proofs is the genesis
+/// certificate (nothing executed, nothing to prove).
+struct CheckpointCertificate {
+  SeqNum slot = 0;
+  crypto::Digest digest{};
+  std::vector<crypto::Signature> proofs;  // one per signer
+
+  /// 0 for genesis, which proves nothing: a view change before the first
+  /// checkpoint keeps the simulated size, and so the trace digests, of a
+  /// certificate-free one.
+  std::size_t wire_size() const {
+    return slot == 0 ? 0 : 8 + 32 + 4 + 36 * proofs.size();
+  }
+  /// Canonical encoding, bound by the signatures of the messages that
+  /// carry it and written as is on the wire (net/wire.cpp).
+  void encode(net::Encoder& enc) const;
+  /// Genesis with no proofs, or at least n - f valid proofs by distinct
+  /// replicas; a signer counted twice invalidates the certificate.
+  bool verify(const crypto::Signer& verifier, ProcessId n, int f) const;
+};
+
+/// Sent when moving to `new_view`; carries the sender's highest stable
+/// certificate plus the prepares above it, so the new leader can preserve
+/// ordered-but-unexecuted requests without the log below the checkpoint.
 struct ViewChangeMessage final : sim::Payload {
   ViewId new_view = 0;
   ProcessId sender = kNoProcess;
-  std::vector<PrepareMessage> prepared;  // leader-signed originals as proof
+  CheckpointCertificate stable;
+  std::vector<PrepareMessage> prepared;  // leader-signed, above `stable`
   crypto::Signature sig;
 
   std::string_view type_tag() const override { return "xpaxos.viewchange"; }
@@ -103,15 +153,17 @@ struct ViewChangeMessage final : sim::Payload {
   std::vector<std::uint8_t> signed_bytes() const;
   static std::shared_ptr<const ViewChangeMessage> make(
       const crypto::Signer& sender, ViewId new_view,
-      std::vector<PrepareMessage> prepared);
+      CheckpointCertificate stable, std::vector<PrepareMessage> prepared);
   bool verify(const crypto::Signer& verifier, ProcessId n) const;
 };
 
-/// The new leader's view installation: re-proposals (signed by the new
-/// leader) of every undecided slot it learned from the VIEWCHANGE set.
+/// The new leader's view installation: the highest certificate of the
+/// VIEWCHANGE set, and re-proposals (signed by the new leader) of every
+/// slot above it that it learned from that set.
 struct NewViewMessage final : sim::Payload {
   ViewId view = 0;
   ProcessId leader = kNoProcess;
+  CheckpointCertificate stable;
   std::vector<PrepareMessage> reproposals;  // signed by `leader`, in `view`
   crypto::Signature sig;
 
@@ -120,9 +172,38 @@ struct NewViewMessage final : sim::Payload {
 
   std::vector<std::uint8_t> signed_bytes() const;
   static std::shared_ptr<const NewViewMessage> make(
-      const crypto::Signer& leader, ViewId view,
+      const crypto::Signer& leader, ViewId view, CheckpointCertificate stable,
       std::vector<PrepareMessage> reproposals);
   bool verify(const crypto::Signer& verifier, ProcessId n) const;
+};
+
+/// A replica behind a stable certificate asks for the snapshot of a
+/// checkpoint at `slot` or later.
+struct StateRequestMessage final : sim::Payload {
+  SeqNum slot = 0;
+  ProcessId sender = kNoProcess;
+  crypto::Signature sig;  // by `sender`
+
+  std::string_view type_tag() const override { return "xpaxos.state_request"; }
+  std::size_t wire_size() const override { return 8 + 4 + 36; }
+
+  std::vector<std::uint8_t> signed_bytes() const;
+  static std::shared_ptr<const StateRequestMessage> make(
+      const crypto::Signer& sender, SeqNum slot);
+  bool verify(const crypto::Signer& verifier, ProcessId n) const;
+};
+
+/// A stable checkpoint's snapshot with its certificate. Self-certifying,
+/// so unsigned: it is installed only if the certificate verifies and the
+/// snapshot hashes to the certified digest.
+struct StateMessage final : sim::Payload {
+  CheckpointCertificate stable;
+  std::vector<std::uint8_t> snapshot;
+
+  std::string_view type_tag() const override { return "xpaxos.state"; }
+  std::size_t wire_size() const override {
+    return stable.wire_size() + 4 + snapshot.size();
+  }
 };
 
 }  // namespace qsel::xpaxos

@@ -6,8 +6,19 @@
 #include "app/kv_store.hpp"
 #include "common/assert.hpp"
 #include "common/logging.hpp"
+#include "net/codec.hpp"
 
 namespace qsel::xpaxos {
+namespace {
+
+/// Own snapshots kept while their certificates form; older ones go first.
+constexpr std::size_t kMaxOwnSnapshots = 4;
+/// CHECKPOINT slots remembered per sender.
+constexpr std::size_t kMaxVotesPerSender = 4;
+
+bool is_noop(const BatchEntry& e) { return e.client == 0 && e.op.empty(); }
+
+}  // namespace
 
 Replica::Replica(net::Transport& transport, const crypto::KeyRegistry& keys,
                  ReplicaConfig config, store::NodeStore* store,
@@ -29,6 +40,8 @@ Replica::Replica(net::Transport& transport, const crypto::KeyRegistry& keys,
                config_.max_batch <= PrepareMessage::kMaxBatch);
   app_ = app_factory ? app_factory() : std::make_unique<app::KvStore>();
   QSEL_REQUIRE(app_ != nullptr);
+  stable_ = std::make_shared<StateMessage>();
+  votes_.resize(config_.n);
   transport_.set_handler([this](ProcessId from, const sim::PayloadPtr& msg) {
     on_message(from, msg);
   });
@@ -41,6 +54,7 @@ Replica::~Replica() {
   // nothing scheduled may touch a dead `this`: the view-change timer is
   // cancelled here, the plane guards its queued SUSPECTED deliveries.
   view_change_timer_.cancel();
+  state_timer_.cancel();
   transport_.set_handler(nullptr);
 }
 
@@ -69,6 +83,15 @@ void Replica::on_message(ProcessId from, const sim::PayloadPtr& message) {
   } else if (auto newview =
                  std::dynamic_pointer_cast<const NewViewMessage>(message)) {
     handle_newview(newview);
+  } else if (auto checkpoint =
+                 std::dynamic_pointer_cast<const CheckpointMessage>(message)) {
+    handle_checkpoint(checkpoint);
+  } else if (const auto* state_request =
+                 dynamic_cast<const StateRequestMessage*>(message.get())) {
+    handle_state_request(*state_request);
+  } else if (auto state =
+                 std::dynamic_pointer_cast<const StateMessage>(message)) {
+    handle_state(state);
   } else {
     plane_.on_message(from, message);
   }
@@ -83,15 +106,18 @@ void Replica::on_message(ProcessId from, const sim::PayloadPtr& message) {
 void Replica::handle_request(
     const std::shared_ptr<const ClientRequest>& request) {
   if (!request->verify(signer_)) return;
-  const auto key = std::make_pair(request->client, request->client_seq);
-  if (const auto it = results_.find(key); it != results_.end()) {
+  const RequestKey key{request->client, request->client_seq};
+  if (const std::string* result = cached_result(key)) {
     // Retransmission of an executed request: resend the cached reply.
     if (request->client < transport_.process_count())
       transport_.send(request->client,
                       ReplyMessage::make(signer_, view_, request->client,
-                                         request->client_seq, it->second));
+                                         request->client_seq, *result));
     return;
   }
+  // Below the reply floor: executed long ago and its reply slid out of
+  // the window; neither re-executed nor answered.
+  if (executed(key)) return;
   if (!is_leader()) {
     // Quorum members relay the request to the leader and expect the
     // corresponding PREPARE: a correct leader proposes within two
@@ -152,11 +178,11 @@ void Replica::pump_proposals() {
     while (!pending_requests_.empty() && batch.size() < config_.max_batch) {
       const auto request = pending_requests_.front();
       pending_requests_.pop_front();
-      const auto key = std::make_pair(request->client, request->client_seq);
+      const RequestKey key{request->client, request->client_seq};
       pending_keys_.erase(key);
       // Re-validate: the request may have executed or been re-proposed
       // (view-change replay) while it sat in the queue.
-      if (results_.contains(key)) continue;
+      if (executed(key)) continue;
       if (const auto it = client_index_.find(key);
           it != client_index_.end()) {
         const auto slot_it = log_.find(it->second);
@@ -203,6 +229,16 @@ void Replica::handle_prepare(const PrepareMessage& prepare, bool via_commit) {
     return;
   }
   QSEL_ASSERT(prepare.verify(signer_, config_.n, leader()));
+  if (prepare.slot <= log_floor()) {
+    // A certificate covers this slot: its state is in a snapshot, so it is
+    // not logged. A NEWVIEW can still re-propose it (its base is the
+    // highest certificate in the VIEWCHANGE set, and this replica may have
+    // learned a higher one since), and every other member waits on this
+    // replica's COMMIT, so a member commits it all the same.
+    if (in_active_quorum())
+      send_to_quorum(CommitMessage::make(signer_, prepare));
+    return;
+  }
 
   Slot& slot = log_[prepare.slot];
   if (slot.prepare) {
@@ -266,6 +302,7 @@ void Replica::handle_commit(const std::shared_ptr<const CommitMessage>& commit) 
     fd().detected(commit->sender);
     return;
   }
+  if (commit->prepare.slot <= log_floor()) return;
 
   Slot& slot = log_[commit->prepare.slot];
   if (slot.prepare && slot.prepare->view == view_ &&
@@ -318,38 +355,39 @@ void Replica::try_execute() {
     ++last_executed_;
     const PrepareMessage& p = *slot.prepare;
     for (const BatchEntry& e : p.requests) {
-      const bool noop = e.op.empty() && e.client == 0;
-      const auto key = std::make_pair(e.client, e.client_seq);
-      if (!noop) {
-        // Exactly-once: a view change can resurrect a request that
-        // already executed in an earlier slot (see the NEWVIEW merge
-        // dedup); the cached result answers it without re-applying. The
-        // cache is identical across replicas with the same executed
-        // prefix, so this stays deterministic.
-        if (const auto done = results_.find(key); done != results_.end()) {
-          if (e.client < transport_.process_count() && e.client >= config_.n)
-            transport_.send(e.client,
-                            ReplyMessage::make(signer_, view_, e.client,
-                                               e.client_seq, done->second));
-          continue;
-        }
+      if (is_noop(e)) {
+        executed_history_.push_back(smr::ExecutedEntry{
+            p.slot, e.client, e.client_seq, crypto::sha256(e.op)});
+        continue;
       }
-      std::string result;
-      if (!noop) {
-        result = app_->apply_encoded(e.op);
-        ++requests_executed_;
+      const RequestKey key{e.client, e.client_seq};
+      client_index_.erase(key);
+      const bool replyable =
+          e.client < transport_.process_count() && e.client >= config_.n;
+      // Exactly-once: a view change can resurrect a request that already
+      // executed in an earlier slot (see the NEWVIEW merge dedup); the
+      // cached result answers it without re-applying, and one below the
+      // reply floor is dropped. The reply table is identical across
+      // replicas with the same executed prefix, so this stays
+      // deterministic.
+      if (const std::string* done = cached_result(key)) {
+        if (replyable)
+          transport_.send(e.client, ReplyMessage::make(signer_, view_, e.client,
+                                                       e.client_seq, *done));
+        continue;
       }
+      if (executed(key)) continue;
+      std::string result = app_->apply_encoded(e.op);
+      ++requests_executed_;
       executed_history_.push_back(smr::ExecutedEntry{
           p.slot, e.client, e.client_seq, crypto::sha256(e.op)});
-      results_[key] = result;
-      if (!noop && e.client < transport_.process_count() &&
-          e.client >= config_.n) {
-        transport_.send(e.client,
-                        ReplyMessage::make(signer_, view_, e.client,
-                                           e.client_seq, result));
-      }
+      if (replyable)
+        transport_.send(e.client, ReplyMessage::make(signer_, view_, e.client,
+                                                     e.client_seq, result));
+      cache_result(key, std::move(result));
     }
     QSEL_LOG(kDebug, "xpaxos") << "p" << self() << " executed slot " << p.slot;
+    if (p.slot % kCheckpointInterval == 0) take_checkpoint(p.slot);
   }
   // Executions free pipeline-window slots; the leader refills them.
   pump_proposals();
@@ -427,6 +465,8 @@ void Replica::arm_view_change_timer() {
 }
 
 std::vector<PrepareMessage> Replica::prepared_log() const {
+  // The log holds only slots above log_floor(), i.e. above the
+  // certificate the VIEWCHANGE carries.
   std::vector<PrepareMessage> prepared;
   prepared.reserve(log_.size());
   for (const auto& [slot_no, slot] : log_)
@@ -435,7 +475,11 @@ std::vector<PrepareMessage> Replica::prepared_log() const {
 }
 
 void Replica::broadcast_viewchange() {
-  const auto msg = ViewChangeMessage::make(signer_, view_, prepared_log());
+  const CheckpointCertificate& stable =
+      transfer_target_.slot > stable_->stable.slot ? transfer_target_
+                                                   : stable_->stable;
+  const auto msg =
+      ViewChangeMessage::make(signer_, view_, stable, prepared_log());
   transport_.broadcast(plane_.others(), msg);
   viewchanges_[self()] = msg;
   maybe_assemble_new_view();
@@ -444,6 +488,7 @@ void Replica::broadcast_viewchange() {
 void Replica::handle_viewchange(
     const std::shared_ptr<const ViewChangeMessage>& msg) {
   if (!msg->verify(signer_, config_.n)) return;
+  if (!msg->stable.verify(signer_, config_.n, config_.f)) return;
   fd().on_receive(msg->sender, msg);
   if (msg->new_view < view_) return;  // stale
   if (msg->new_view > view_) {
@@ -480,14 +525,20 @@ void Replica::maybe_assemble_new_view() {
     return;
   }
 
-  // Merge: for every slot keep the prepare from the highest view (ignoring
-  // anything that fails leader-signature validation — Byzantine members
-  // cannot inject entries).
+  // Start from the highest certificate in the set (each verified on
+  // receipt): every slot at or below it is in its snapshot.
+  const CheckpointCertificate* base = &stable_->stable;
+  for (const auto& [sender, vc] : viewchanges_)
+    if (vc->stable.slot > base->slot) base = &vc->stable;
+
+  // Merge: for every slot above it keep the prepare from the highest view
+  // (ignoring anything that fails leader-signature validation — Byzantine
+  // members cannot inject entries).
   std::map<SeqNum, PrepareMessage> merged;
   for (const auto& [sender, vc] : viewchanges_) {
     (void)sender;
     for (const PrepareMessage& p : vc->prepared) {
-      if (p.view > view_) continue;
+      if (p.view > view_ || p.slot <= base->slot) continue;
       if (!p.verify(signer_, config_.n, view_map_.leader_of(p.view)))
         continue;
       const auto it = merged.find(p.slot);
@@ -495,7 +546,8 @@ void Replica::maybe_assemble_new_view() {
         merged.insert_or_assign(p.slot, p);
     }
   }
-  const SeqNum max_slot = merged.empty() ? 0 : merged.rbegin()->first;
+  const SeqNum max_slot =
+      merged.empty() ? base->slot : merged.rbegin()->first;
 
   // A request may survive in two slots: its original proposal lost by an
   // earlier merge (stale, never committed — a fully committed slot is
@@ -517,8 +569,8 @@ void Replica::maybe_assemble_new_view() {
   }
 
   std::vector<PrepareMessage> reproposals;
-  reproposals.reserve(static_cast<std::size_t>(max_slot));
-  for (SeqNum slot_no = 1; slot_no <= max_slot; ++slot_no) {
+  reproposals.reserve(static_cast<std::size_t>(max_slot - base->slot));
+  for (SeqNum slot_no = base->slot + 1; slot_no <= max_slot; ++slot_no) {
     std::vector<BatchEntry> batch;
     if (const auto it = merged.find(slot_no); it != merged.end()) {
       for (const BatchEntry& e : it->second.requests) {
@@ -534,13 +586,15 @@ void Replica::maybe_assemble_new_view() {
         PrepareMessage::make_batch(signer_, view_, slot_no, std::move(batch)));
   }
   next_slot_ = max_slot + 1;
-  const auto nv = NewViewMessage::make(signer_, view_, std::move(reproposals));
+  const auto nv =
+      NewViewMessage::make(signer_, view_, *base, std::move(reproposals));
   transport_.broadcast(plane_.others(), nv);
   handle_newview(nv);
 }
 
 void Replica::handle_newview(const std::shared_ptr<const NewViewMessage>& msg) {
   if (!msg->verify(signer_, config_.n)) return;
+  if (!msg->stable.verify(signer_, config_.n, config_.f)) return;
   fd().on_receive(msg->leader, msg);
   if (msg->view < view_) return;
   if (msg->leader != view_map_.leader_of(msg->view)) return;
@@ -562,13 +616,21 @@ void Replica::handle_newview(const std::shared_ptr<const NewViewMessage>& msg) {
   QSEL_LOG(kInfo, "xpaxos") << "p" << self() << " installed view " << view_
                             << " (" << msg->reproposals.size()
                             << " reproposals)";
-  SeqNum max_slot = 0;
+  // Before the re-proposals, which start just above the certificate: a
+  // replica behind it drops its log up to it and fetches the snapshot.
+  learn_certificate(msg->stable);
+  // This view may make active a replica that is behind a certificate it
+  // learned while passive, or whose transfer a view change cut short;
+  // learn_certificate asks only when the certificate is new to it.
+  if (!state_timer_.active()) request_state();
+  SeqNum max_slot = msg->stable.slot;
   for (const PrepareMessage& p : msg->reproposals) {
     if (p.view != view_) continue;
     if (!p.verify(signer_, config_.n, leader())) continue;
     max_slot = std::max(max_slot, p.slot);
     handle_prepare(p, /*via_commit=*/false);
   }
+  reproposed_through_ = max_slot;
   // Replay normal-case traffic that overtook this NEWVIEW.
   auto buffered = std::move(buffered_protocol_);
   buffered_protocol_.clear();
@@ -588,6 +650,214 @@ void Replica::handle_newview(const std::shared_ptr<const NewViewMessage>& msg) {
     pending_keys_.clear();
     for (const auto& request : pending) handle_request(request);
   }
+  try_execute();
+}
+
+// --------------------------------------------------------------------------
+// Checkpoints, the reply table and state transfer (DESIGN.md §16)
+
+const std::string* Replica::cached_result(const RequestKey& key) const {
+  const auto client = replies_.find(key.first);
+  if (client == replies_.end()) return nullptr;
+  const auto it = client->second.find(key.second);
+  return it == client->second.end() ? nullptr : &it->second;
+}
+
+bool Replica::executed(const RequestKey& key) const {
+  if (cached_result(key) != nullptr) return true;
+  // Every executed seq above (highest - R) is among the R kept, so one
+  // at or below that floor is the only kind that can be executed and
+  // missing from the table.
+  const auto client = replies_.find(key.first);
+  if (client == replies_.end()) return false;
+  const std::uint64_t highest = client->second.rbegin()->first;
+  return highest > smr::kReplyWindow &&
+         key.second <= highest - smr::kReplyWindow;
+}
+
+void Replica::cache_result(const RequestKey& key, std::string result) {
+  auto& results = replies_[key.first];
+  results.emplace(key.second, std::move(result));
+  if (results.size() > smr::kReplyWindow) results.erase(results.begin());
+}
+
+std::vector<std::uint8_t> Replica::encode_snapshot(SeqNum slot) const {
+  net::Encoder enc;
+  enc.u64(slot);
+  enc.u64(requests_executed_);
+  enc.bytes(app_->snapshot());
+  enc.u32(static_cast<std::uint32_t>(replies_.size()));
+  for (const auto& [client, results] : replies_) {
+    enc.u32(client);
+    enc.u32(static_cast<std::uint32_t>(results.size()));
+    for (const auto& [seq, result] : results) {
+      enc.u64(seq);
+      enc.str(result);
+    }
+  }
+  return std::move(enc).take();
+}
+
+bool Replica::restore_snapshot(std::span<const std::uint8_t> bytes,
+                               SeqNum slot) {
+  net::Decoder dec(bytes);
+  const SeqNum at = dec.u64();
+  const std::uint64_t requests_executed = dec.u64();
+  const std::vector<std::uint8_t> app = dec.bytes();
+  const std::uint32_t clients = dec.u32();
+  std::map<std::uint32_t, std::map<std::uint64_t, std::string>> replies;
+  for (std::uint32_t i = 0; i < clients && dec.ok(); ++i) {
+    auto& results = replies[dec.u32()];
+    const std::uint32_t count = dec.u32();
+    if (count == 0 || count > smr::kReplyWindow) return false;
+    for (std::uint32_t j = 0; j < count && dec.ok(); ++j) {
+      const std::uint64_t seq = dec.u64();
+      results.emplace(seq, dec.str());
+    }
+  }
+  if (!dec.done() || at != slot || !app_->restore(app)) return false;
+  requests_executed_ = requests_executed;
+  replies_ = std::move(replies);
+  return true;
+}
+
+void Replica::take_checkpoint(SeqNum slot) {
+  std::vector<std::uint8_t> bytes = encode_snapshot(slot);
+  const crypto::Digest digest = crypto::sha256(bytes);
+  own_snapshots_.insert_or_assign(slot, OwnSnapshot{digest, std::move(bytes)});
+  while (own_snapshots_.size() > kMaxOwnSnapshots)
+    own_snapshots_.erase(own_snapshots_.begin());
+  const auto msg = CheckpointMessage::make(signer_, slot, digest);
+  send_to_quorum(msg);
+  // A slot first proposed in this view is executed by every correct member
+  // within a round of this replica (the COMMITs it executed on went to the
+  // whole quorum) and checkpointed with the same digest. A certificate
+  // needs every member, so one that withholds its CHECKPOINT or sends
+  // another digest would stop truncation for all: expect the matching one,
+  // like a COMMIT. A re-proposed slot may have been checkpointed in an
+  // earlier view, by a member whose vote went to that view's quorum.
+  if (in_active_quorum() && slot > reproposed_through_) {
+    for (ProcessId member : active_quorum()) {
+      if (member == self()) continue;
+      // Skip a member whose matching vote is in, or that is past this
+      // slot (its vote here pruned).
+      const auto& theirs = votes_[member];
+      const auto vote = theirs.find(slot);
+      const bool done = vote != theirs.end()
+                            ? vote->second->digest == digest
+                            : !theirs.empty() && theirs.rbegin()->first > slot;
+      if (done) continue;
+      fd().expect(member,
+                  [slot, digest](ProcessId, const sim::PayloadPtr& m) {
+                    const auto* c =
+                        dynamic_cast<const CheckpointMessage*>(m.get());
+                    return c != nullptr && c->slot == slot &&
+                           c->digest == digest;
+                  },
+                  "checkpoint");
+    }
+  }
+  count_checkpoint_vote(msg);
+}
+
+void Replica::handle_checkpoint(
+    const std::shared_ptr<const CheckpointMessage>& msg) {
+  if (!msg->verify(signer_, config_.n)) return;
+  fd().on_receive(msg->sender, msg);
+  count_checkpoint_vote(msg);
+}
+
+void Replica::count_checkpoint_vote(
+    const std::shared_ptr<const CheckpointMessage>& msg) {
+  if (msg->slot <= log_floor()) return;
+  auto& mine = votes_[msg->sender];
+  mine.emplace(msg->slot, msg);  // a sender's first vote per slot counts
+  while (mine.size() > kMaxVotesPerSender) mine.erase(mine.begin());
+  // Stable once n - f distinct replicas sent matching CHECKPOINTs.
+  CheckpointCertificate cert{msg->slot, msg->digest, {}};
+  for (const auto& votes : votes_) {
+    const auto it = votes.find(msg->slot);
+    if (it != votes.end() && it->second->digest == msg->digest)
+      cert.proofs.push_back(it->second->sig);
+  }
+  if (cert.proofs.size() >= config_.n - static_cast<ProcessId>(config_.f))
+    learn_certificate(cert);
+}
+
+void Replica::learn_certificate(const CheckpointCertificate& cert) {
+  if (cert.slot <= log_floor()) return;
+  if (cert.slot <= last_executed_) {
+    // Executed through it: our own snapshot becomes the stable checkpoint
+    // (without a matching one there is nothing to serve; wait for the
+    // next certificate).
+    const auto own = own_snapshots_.find(cert.slot);
+    if (own == own_snapshots_.end() || own->second.digest != cert.digest)
+      return;
+    auto stable = std::make_shared<StateMessage>();
+    stable->stable = cert;
+    stable->snapshot = std::move(own->second.bytes);
+    stable_ = std::move(stable);
+    own_snapshots_.erase(own_snapshots_.begin(), std::next(own));
+    truncate_through(cert.slot);
+    return;
+  }
+  // Behind it: the slots up to it now arrive only as its snapshot.
+  transfer_target_ = cert;
+  truncate_through(cert.slot);
+  request_state();
+}
+
+void Replica::truncate_through(SeqNum slot) {
+  log_.erase(log_.begin(), log_.upper_bound(slot));
+  std::erase_if(client_index_,
+                [slot](const auto& entry) { return entry.second <= slot; });
+  for (auto& votes : votes_)
+    votes.erase(votes.begin(), votes.upper_bound(slot));
+}
+
+void Replica::request_state() {
+  state_timer_.cancel();
+  // Only a quorum member needs the state now: its execution is what
+  // replies and checkpoints wait on. A passive replica asks when a
+  // NEWVIEW makes it active.
+  if (transfer_target_.slot <= last_executed_ || !in_active_quorum()) return;
+  const auto msg = StateRequestMessage::make(signer_, transfer_target_.slot);
+  for (const crypto::Signature& proof : transfer_target_.proofs)
+    if (proof.signer != self()) transport_.send(proof.signer, msg);
+  state_timer_ = transport_.timers().schedule_timer(
+      config_.view_change_retry, [this] { request_state(); });
+}
+
+void Replica::handle_state_request(const StateRequestMessage& msg) {
+  if (!msg.verify(signer_, config_.n)) return;
+  if (stable_->stable.slot == 0 || stable_->stable.slot < msg.slot) return;
+  transport_.send(msg.sender, stable_);
+}
+
+void Replica::handle_state(const std::shared_ptr<const StateMessage>& msg) {
+  const CheckpointCertificate& cert = msg->stable;
+  if (cert.slot <= last_executed_) return;
+  if (!cert.verify(signer_, config_.n, config_.f)) return;
+  // Only the certified state is installed; anything else is ignored and
+  // the next reply (or retry) gets its chance.
+  if (crypto::sha256(msg->snapshot) != cert.digest) return;
+  if (!restore_snapshot(msg->snapshot, cert.slot)) return;
+  QSEL_LOG(kInfo, "xpaxos") << "p" << self()
+                            << " installed checkpoint " << cert.slot
+                            << " by state transfer";
+  ++state_transfers_;
+  // Slots executed before the gap are dropped with it, so the history is
+  // contiguous and starts just above the installed checkpoint.
+  executed_history_.clear();
+  last_executed_ = cert.slot;
+  next_slot_ = std::max(next_slot_, last_executed_ + 1);
+  stable_ = msg;
+  own_snapshots_.clear();
+  if (transfer_target_.slot <= cert.slot) {
+    transfer_target_ = CheckpointCertificate{};
+    state_timer_.cancel();
+  }
+  truncate_through(cert.slot);
   try_execute();
 }
 

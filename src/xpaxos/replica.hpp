@@ -26,6 +26,15 @@
 //    Q ("suspect all quorums ordered before Q"), cancelling outstanding
 //    expectations.
 //
+// Checkpoints (DESIGN.md §16): after executing every kCheckpointInterval-th
+// slot a replica snapshots the app plus its reply table and sends a signed
+// CHECKPOINT to the active quorum; n - f matching ones make the checkpoint
+// stable, and the log at or below it is dropped. VIEWCHANGE and NEWVIEW
+// carry the certificate instead of that prefix, and a quorum member behind
+// a certificate fetches the snapshot by STATE transfer while it goes on
+// sending COMMITs. Per client only the kReplyWindow highest executed
+// results are kept, so state stays flat in uptime.
+//
 // The replica runs over net::Transport, so the same code drives the
 // simulator (runtime::SimTransport), real TCP, and a shard group's slice
 // of a shared TCP transport (shard::GroupTransport). The application is
@@ -33,6 +42,7 @@
 // fenced ShardKv machine in the sharded service.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -40,6 +50,9 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "app/state_machine.hpp"
@@ -79,6 +92,11 @@ struct ReplicaConfig {
 class Replica final {
  public:
   using AppFactory = std::function<std::unique_ptr<app::StateMachine>()>;
+
+  /// Checkpoint interval K, in slots. A constant rather than a knob: 128
+  /// keeps every view change under about 150 re-proposals at the default
+  /// pipeline window.
+  static constexpr SeqNum kCheckpointInterval = 128;
 
   /// Installs itself as `transport`'s handler; self() = transport.self(),
   /// which must be a replica id (< config.n). Suspicions travel as
@@ -122,10 +140,19 @@ class Replica final {
     return plane_.has_selector() ? &plane_.selector() : nullptr;
   }
 
-  /// Executed history, for cross-replica consistency checks.
+  /// Executed history, for cross-replica consistency checks. A replica
+  /// that installed a checkpoint by state transfer holds only the slots
+  /// executed after it, so compare histories by slot.
   const std::vector<smr::ExecutedEntry>& executed_history() const {
     return executed_history_;
   }
+
+  /// The stable checkpoint this replica holds (0 = genesis).
+  SeqNum stable_checkpoint() const { return stable_->stable.slot; }
+  /// Log slots currently retained (all above the stable checkpoint).
+  std::size_t retained_log_slots() const { return log_.size(); }
+  /// Checkpoints installed by state transfer.
+  std::uint64_t state_transfers() const { return state_transfers_; }
 
  private:
   struct Slot {
@@ -144,6 +171,9 @@ class Replica final {
   void handle_commit(const std::shared_ptr<const CommitMessage>& commit);
   void handle_viewchange(const std::shared_ptr<const ViewChangeMessage>& msg);
   void handle_newview(const std::shared_ptr<const NewViewMessage>& msg);
+  void handle_checkpoint(const std::shared_ptr<const CheckpointMessage>& msg);
+  void handle_state_request(const StateRequestMessage& msg);
+  void handle_state(const std::shared_ptr<const StateMessage>& msg);
 
   fd::FailureDetector& fd() { return plane_.failure_detector(); }
   /// Enumeration policy only: SUSPECTED straight from the detector.
@@ -161,6 +191,28 @@ class Replica final {
   void send_to_quorum(const sim::PayloadPtr& message);
 
   std::vector<PrepareMessage> prepared_log() const;
+
+  // --- checkpoints, reply table, state transfer (DESIGN.md §16) --------
+  using RequestKey = std::pair<std::uint32_t, std::uint64_t>;
+  /// The cached reply for an executed request, or null.
+  const std::string* cached_result(const RequestKey& key) const;
+  /// Executed already: cached, or at or below the client's reply floor.
+  bool executed(const RequestKey& key) const;
+  void cache_result(const RequestKey& key, std::string result);
+  std::vector<std::uint8_t> encode_snapshot(SeqNum slot) const;
+  bool restore_snapshot(std::span<const std::uint8_t> bytes, SeqNum slot);
+  void take_checkpoint(SeqNum slot);
+  void count_checkpoint_vote(
+      const std::shared_ptr<const CheckpointMessage>& msg);
+  /// Adopts a verified stable certificate: as the held checkpoint when
+  /// this replica executed through it, else as the state to fetch.
+  void learn_certificate(const CheckpointCertificate& cert);
+  /// Slots at or below this are covered by a certificate and not logged.
+  SeqNum log_floor() const {
+    return std::max(stable_->stable.slot, transfer_target_.slot);
+  }
+  void truncate_through(SeqNum slot);
+  void request_state();
 
   net::Transport& transport_;
   crypto::Signer signer_;
@@ -181,15 +233,38 @@ class Replica final {
   std::uint64_t requests_executed_ = 0;
   std::vector<smr::ExecutedEntry> executed_history_;
 
-  /// (client, client_seq) -> slot, for duplicate suppression.
-  std::map<std::pair<std::uint32_t, std::uint64_t>, SeqNum> client_index_;
-  /// Executed results, for replying to retransmitted requests.
-  std::map<std::pair<std::uint32_t, std::uint64_t>, std::string> results_;
+  /// (client, client_seq) -> slot of a prepared, unexecuted request, for
+  /// duplicate suppression; erased when the request executes.
+  std::map<RequestKey, SeqNum> client_index_;
+  /// Reply table: per client, the results of its kReplyWindow highest
+  /// executed seqs, for answering retransmissions. Part of the snapshot.
+  std::map<std::uint32_t, std::map<std::uint64_t, std::string>> replies_;
+
+  /// The stable checkpoint held (certificate plus snapshot), served as is
+  /// to STATE-REQUESTs; genesis until the first one.
+  std::shared_ptr<const StateMessage> stable_;
+  /// Own snapshots above the stable checkpoint awaiting certificates.
+  struct OwnSnapshot {
+    crypto::Digest digest;
+    std::vector<std::uint8_t> bytes;
+  };
+  std::map<SeqNum, OwnSnapshot> own_snapshots_;
+  /// CHECKPOINT votes by sender, each sender's few highest slots only.
+  std::vector<std::map<SeqNum, std::shared_ptr<const CheckpointMessage>>>
+      votes_;
+  /// Highest certificate above last_executed_ (slot 0 = none): the
+  /// checkpoint to fetch by state transfer.
+  CheckpointCertificate transfer_target_;
+  sim::TimerHandle state_timer_;
+  /// Highest slot the current view's NEWVIEW covered (its certificate or
+  /// a re-proposal); the slots above it are first proposed in this view.
+  SeqNum reproposed_through_ = 0;
+  std::uint64_t state_transfers_ = 0;
   /// Leader-side proposal queue: requests wait here while the pipeline
   /// window is full (and across view changes). pending_keys_ mirrors the
   /// queue so retransmissions cannot enqueue a request twice.
   std::deque<std::shared_ptr<const ClientRequest>> pending_requests_;
-  std::set<std::pair<std::uint32_t, std::uint64_t>> pending_keys_;
+  std::set<RequestKey> pending_keys_;
   bool pumping_ = false;
 
   /// VIEWCHANGE messages collected for view_ (by everyone: the

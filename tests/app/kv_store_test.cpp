@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace qsel::app {
 namespace {
 
@@ -58,6 +61,27 @@ TEST(KvStoreTest, DigestReflectsHistory) {
   // Same final contents but different op counts differ.
   a.apply({OpType::kGet, "x", ""});
   EXPECT_NE(a.state_digest(), b.state_digest());
+}
+
+TEST(KvStoreTest, SnapshotRestoreRoundTrips) {
+  KvStore source;
+  source.apply({OpType::kPut, "x", "1"});
+  source.apply({OpType::kPut, "y", "2"});
+  source.apply({OpType::kDel, "x", ""});
+  source.apply({OpType::kGet, "y", ""});
+  KvStore copy;
+  copy.apply({OpType::kPut, "stale", "gone after restore"});
+  ASSERT_TRUE(copy.restore(source.snapshot()));
+  EXPECT_EQ(copy.state_digest(), source.state_digest());
+  EXPECT_EQ(copy.snapshot(), source.snapshot());
+  EXPECT_EQ(copy.ops_applied(), 4u);
+  EXPECT_EQ(copy.get("y"), "2");
+  EXPECT_FALSE(copy.get("stale").has_value());
+  // Malformed bytes leave the state alone.
+  std::vector<std::uint8_t> truncated = source.snapshot();
+  truncated.pop_back();
+  EXPECT_FALSE(copy.restore(truncated));
+  EXPECT_EQ(copy.state_digest(), source.state_digest());
 }
 
 TEST(KvStoreTest, GetObserver) {

@@ -5,6 +5,8 @@
 // the full system, not just in the abstract game.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "adversary/follower_game.hpp"
 #include "runtime/follower_cluster.hpp"
 #include "suspect/update_message.hpp"
@@ -75,7 +77,9 @@ TEST_P(Theorem9Sweep, SimulatedWalkStaysWithinBound) {
 
 INSTANTIATE_TEST_SUITE_P(F, Theorem9Sweep, ::testing::Values(1, 2, 3),
                          [](const auto& sweep_info) {
-                           return "f" + std::to_string(sweep_info.param);
+                           std::string name = "f";
+                           name.append(std::to_string(sweep_info.param));
+                           return name;
                          });
 
 }  // namespace

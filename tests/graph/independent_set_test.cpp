@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -177,8 +178,11 @@ INSTANTIATE_TEST_SUITE_P(NandF, IndependentSetSweep,
                                            SweepParam{9, 2}, SweepParam{16, 5},
                                            SweepParam{21, 6}, SweepParam{25, 8}),
                          [](const auto& param_info) {
-                           return "n" + std::to_string(param_info.param.n) +
-                                  "_f" + std::to_string(param_info.param.f);
+                           std::string name = "n";
+                           name.append(std::to_string(param_info.param.n))
+                               .append("_f")
+                               .append(std::to_string(param_info.param.f));
+                           return name;
                          });
 
 }  // namespace

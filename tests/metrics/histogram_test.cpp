@@ -118,6 +118,20 @@ TEST(LatencyHistogramTest, QuantileErrorBoundVsSortedOracle) {
   EXPECT_EQ(hist.max(), samples.back());
 }
 
+TEST(LatencyHistogramTest, QuantileNeverExceedsTheExactMaximum) {
+  // Every sample lands in the one bucket [1024, 1087]: without the clamp
+  // each quantile would report the bucket's upper bound, above any sample.
+  LatencyHistogram hist;
+  for (const std::uint64_t v : {1030u, 1040u, 1050u}) hist.record(v);
+  ASSERT_EQ(LatencyHistogram::bucket_index(1030),
+            LatencyHistogram::bucket_index(1050));
+  ASSERT_GT(LatencyHistogram::bucket_upper(
+                LatencyHistogram::bucket_index(1050)),
+            1050u);
+  for (const double p : {0.0, 0.5, 0.99, 0.999, 1.0})
+    EXPECT_EQ(hist.quantile(p), 1050u) << "p=" << p;
+}
+
 TEST(LatencyHistogramTest, DigestIsOrderIndependentAndSensitive) {
   Rng rng(9);
   std::vector<std::uint64_t> values;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "crypto/signer.hpp"
@@ -25,6 +26,31 @@ namespace {
 constexpr ProcessId kN = 5;
 
 crypto::KeyRegistry test_keys() { return crypto::KeyRegistry(kN, 7); }
+
+/// The checkpoint-path messages, every one naming process 4 (so each is
+/// out of range once n = 4): CHECKPOINT, STATE-REQUEST, STATE, and a
+/// VIEWCHANGE and NEWVIEW that carry a certificate.
+std::vector<sim::PayloadPtr> checkpoint_messages(
+    const crypto::KeyRegistry& keys) {
+  const crypto::Signer replica4(keys, 4);
+  crypto::Digest digest;
+  digest.bytes.fill(0x5c);
+  xpaxos::CheckpointCertificate cert{128, digest, {}};
+  for (ProcessId id = 1; id < kN; ++id)
+    cert.proofs.push_back(
+        crypto::Signer(keys, id)
+            .sign(xpaxos::CheckpointMessage::signed_bytes(128, digest, id)));
+  auto state = std::make_shared<xpaxos::StateMessage>();
+  state->stable = cert;
+  state->snapshot = {1, 2, 3, 4, 5};
+  const auto prepare = xpaxos::PrepareMessage::make_batch(
+      replica4, 4, 129, {xpaxos::BatchEntry{kN - 1, 7, {0xaa}}});
+  return {xpaxos::CheckpointMessage::make(replica4, 128, digest),
+          xpaxos::StateRequestMessage::make(replica4, 128),
+          state,
+          xpaxos::ViewChangeMessage::make(replica4, 4, cert, {prepare}),
+          xpaxos::NewViewMessage::make(replica4, 4, cert, {prepare})};
+}
 
 TEST(WireTest, HeartbeatRoundTripAuthenticates) {
   const auto keys = test_keys();
@@ -123,14 +149,15 @@ TEST(WireTest, EveryTruncationRejected) {
   const auto followers =
       fs::FollowersMessage::make(signer, ProcessSet{0, 2, 3}, line, 1);
 
-  for (const sim::Payload* message :
-       {static_cast<const sim::Payload*>(heartbeat.get()),
-        static_cast<const sim::Payload*>(update.get()),
-        static_cast<const sim::Payload*>(followers.get())}) {
+  std::vector<sim::PayloadPtr> messages = checkpoint_messages(keys);
+  messages.insert(messages.begin(), {heartbeat, update, followers});
+  for (const sim::PayloadPtr& message : messages) {
     const auto body = encode_message(*message);
     ASSERT_TRUE(body.has_value());
-    // Sanity: the untruncated body decodes.
-    ASSERT_NE(decode_message(*body, kN), nullptr) << message->type_tag();
+    // Sanity: the untruncated body round-trips to the same bytes.
+    const sim::PayloadPtr decoded = decode_message(*body, kN);
+    ASSERT_NE(decoded, nullptr) << message->type_tag();
+    EXPECT_EQ(encode_message(*decoded), body) << message->type_tag();
     for (std::size_t len = 0; len < body->size(); ++len)
       EXPECT_EQ(decode_message(std::span(*body).first(len), kN), nullptr)
           << message->type_tag() << " truncated to " << len << " bytes";
@@ -140,11 +167,14 @@ TEST(WireTest, EveryTruncationRejected) {
 TEST(WireTest, TrailingGarbageRejected) {
   const auto keys = test_keys();
   const crypto::Signer signer(keys, 1);
-  const auto message = runtime::HeartbeatMessage::make(signer, 9);
-  auto body = encode_message(*message);
-  ASSERT_TRUE(body.has_value());
-  body->push_back(0x00);
-  EXPECT_EQ(decode_message(*body, kN), nullptr);
+  std::vector<sim::PayloadPtr> messages = checkpoint_messages(keys);
+  messages.insert(messages.begin(), runtime::HeartbeatMessage::make(signer, 9));
+  for (const sim::PayloadPtr& message : messages) {
+    auto body = encode_message(*message);
+    ASSERT_TRUE(body.has_value());
+    body->push_back(0x00);
+    EXPECT_EQ(decode_message(*body, kN), nullptr) << message->type_tag();
+  }
 }
 
 TEST(WireTest, GarbageBytesRejected) {
@@ -165,12 +195,15 @@ TEST(WireTest, GarbageBytesRejected) {
 TEST(WireTest, OutOfRangeOriginRejected) {
   const auto keys = test_keys();
   const crypto::Signer signer(keys, 4);
-  const auto heartbeat = runtime::HeartbeatMessage::make(signer, 1);
-  const auto body = encode_message(*heartbeat);
-  ASSERT_TRUE(body.has_value());
-  // Valid for n = 5, origin 4 out of range once the system is smaller.
-  EXPECT_NE(decode_message(*body, kN), nullptr);
-  EXPECT_EQ(decode_message(*body, 4), nullptr);
+  std::vector<sim::PayloadPtr> messages = checkpoint_messages(keys);
+  messages.insert(messages.begin(), runtime::HeartbeatMessage::make(signer, 1));
+  for (const sim::PayloadPtr& message : messages) {
+    const auto body = encode_message(*message);
+    ASSERT_TRUE(body.has_value());
+    // Valid for n = 5, process 4 out of range once the system is smaller.
+    EXPECT_NE(decode_message(*body, kN), nullptr) << message->type_tag();
+    EXPECT_EQ(decode_message(*body, 4), nullptr) << message->type_tag();
+  }
 }
 
 TEST(WireTest, WrongRowWidthRejected) {

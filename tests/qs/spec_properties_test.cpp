@@ -13,6 +13,8 @@
 // hand-picked scenario.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hpp"
 #include "runtime/quorum_cluster.hpp"
 
@@ -123,9 +125,13 @@ std::vector<Sweep> sweeps() {
 INSTANTIATE_TEST_SUITE_P(RandomFaultSchedules, QuorumSpecSweep,
                          ::testing::ValuesIn(sweeps()),
                          [](const auto& sweep_info) {
-                           return "n" + std::to_string(sweep_info.param.n) + "_f" +
-                                  std::to_string(sweep_info.param.f) + "_seed" +
-                                  std::to_string(sweep_info.param.seed);
+                           std::string name = "n";
+                           name.append(std::to_string(sweep_info.param.n))
+                               .append("_f")
+                               .append(std::to_string(sweep_info.param.f))
+                               .append("_seed")
+                               .append(std::to_string(sweep_info.param.seed));
+                           return name;
                          });
 
 }  // namespace

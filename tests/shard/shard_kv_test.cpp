@@ -45,6 +45,29 @@ ShardKv low_half(std::uint64_t epoch = 1) {
   return ShardKv(std::move(config));
 }
 
+TEST(ShardKvSnapshotTest, SnapshotRestoreRoundTrips) {
+  // Owned ranges, an epoch bump, a source-side freeze and a half-installed
+  // destination migration all travel in the snapshot.
+  ShardKv source = low_half(/*epoch=*/3);
+  apply_op(source, ShardKvOp::client_op(3, put("apple", "1")));
+  apply_op(source, ShardKvOp::freeze(/*migration_id=*/7, "a", "b"));
+  apply_op(source, ShardKvOp::install_chunk(
+                       /*migration_id=*/9, /*chunk_seq=*/0,
+                       encode_pairs({{"pear", "2"}})));
+  ShardKv copy = low_half();
+  ASSERT_TRUE(copy.restore(source.snapshot()));
+  EXPECT_EQ(copy.state_digest(), source.state_digest());
+  EXPECT_EQ(copy.snapshot(), source.snapshot());
+  EXPECT_EQ(copy.config_epoch(), 3u);
+  EXPECT_TRUE(copy.is_frozen("apple"));
+  // The copy goes on deciding exactly as the source does.
+  const auto op = ShardKvOp::client_op(3, put("cherry", "3"));
+  EXPECT_EQ(copy.apply_encoded(op), source.apply_encoded(op));
+  EXPECT_EQ(copy.state_digest(), source.state_digest());
+  EXPECT_FALSE(copy.restore(std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_EQ(copy.state_digest(), source.state_digest());
+}
+
 TEST(ShardKvFencingTest, StaleEpochRejectedBeforeAnythingElse) {
   ShardKv kv = low_half(/*epoch=*/5);
   // F1: even an op for a key we own, with a frozen-range miss, is fenced
@@ -170,9 +193,11 @@ struct Handoff {
 
   /// Freezes [a, c) on the source and snapshots it in chunks of 2.
   void stage(int keys) {
-    for (int i = 0; i < keys; ++i)
-      apply_op(source, ShardKvOp::client_op(
-                        1, put("a" + std::to_string(i), "v")));
+    for (int i = 0; i < keys; ++i) {
+      std::string key = "a";
+      key.append(std::to_string(i));
+      apply_op(source, ShardKvOp::client_op(1, put(key, "v")));
+    }
     apply_op(source, ShardKvOp::freeze(1, "a", "c"));
     const auto info = apply_op(source, ShardKvOp::range_info("a", "c"));
     net::Decoder dec(as_span(info.value));

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "smr/typed_result.hpp"
 
 namespace qsel::shard {
@@ -110,6 +113,19 @@ TEST(ShardMapMachineTest, MoveLifecycleBumpsOnCommitOnly) {
       MapOp{MapOpType::kCommitMove, "zzz", "", 2}.encode()));
   ASSERT_TRUE(missing.has_value());
   EXPECT_EQ(missing->value, "no-such-range");
+}
+
+TEST(ShardMapMachineTest, SnapshotRestoreRoundTrips) {
+  ShardMapMachine source;
+  source.apply_encoded(MapOp{MapOpType::kAssign, "", "m", 1}.encode());
+  source.apply_encoded(MapOp{MapOpType::kAssign, "m", "", 2}.encode());
+  source.apply_encoded(MapOp{MapOpType::kPrepareMove, "", "", 3}.encode());
+  ShardMapMachine copy;
+  ASSERT_TRUE(copy.restore(source.snapshot()));
+  EXPECT_EQ(copy.state_digest(), source.state_digest());
+  EXPECT_EQ(copy.map(), source.map());
+  EXPECT_FALSE(copy.restore(std::vector<std::uint8_t>{0xff}));
+  EXPECT_EQ(copy.map(), source.map());
 }
 
 TEST(ShardMapMachineTest, GetReturnsTheEncodedMap) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -224,6 +225,37 @@ TEST(RequestEngineTest, TypedResultsReportStatusEpochAndValue) {
   EXPECT_EQ(h.outcomes()[1].status, ResultStatus::kStaleEpoch);
   EXPECT_EQ(h.outcomes()[1].config_epoch, 9u);
   EXPECT_EQ(h.outcomes()[1].value, "");
+}
+
+TEST(RequestEngineTest, HoldsSeqsAReplyWindowAboveTheOldestUnsettled) {
+  // Replicas take a seq at or below (highest executed - kReplyWindow) as
+  // executed, so while seq 1 is unsettled no seq from 1 + kReplyWindow on
+  // may reach them: seq 1 would be stranded, never executed or answered.
+  EngineHarness h(config(4, 1));
+  const auto highest_sent = [&] {
+    std::uint64_t highest = 0;
+    for (const auto& request : h.requests())
+      highest = std::max(highest, request->client_seq);
+    return highest;
+  };
+  constexpr std::uint64_t kLast = kReplyWindow + 10;
+  std::uint64_t submitted = 0;
+  for (; submitted < 16; ++submitted) h.submit("op");
+  for (std::uint64_t seq = 2; seq <= kReplyWindow; ++seq) {
+    h.reply(0, seq, "r");
+    h.reply(1, seq, "r");
+    if (submitted < kLast) {
+      h.submit("op");
+      ++submitted;
+    }
+  }
+  EXPECT_EQ(highest_sent(), kReplyWindow);
+  EXPECT_EQ(h.engine().outstanding(), 1 + kLast - kReplyWindow);
+
+  h.reply(2, 1, "r");
+  h.reply(3, 1, "r");
+  EXPECT_EQ(highest_sent(), kLast) << "the held seqs go out";
+  EXPECT_EQ(h.engine().outstanding(), kLast - kReplyWindow);
 }
 
 TEST(RequestEngineTest, DoneMaySubmitAgain) {

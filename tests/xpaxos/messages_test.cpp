@@ -88,7 +88,7 @@ TEST(XpaxosMessagesTest, ViewChangeRoundTrip) {
   std::vector<PrepareMessage> prepared{
       PrepareMessage::make(fx.leader, 1, 1, *fx.request()),
       PrepareMessage::make(fx.leader, 1, 2, *fx.request())};
-  const auto vc = ViewChangeMessage::make(fx.replica1, 3, prepared);
+  const auto vc = ViewChangeMessage::make(fx.replica1, 3, {}, prepared);
   EXPECT_TRUE(vc->verify(fx.leader, 4));
   EXPECT_EQ(vc->prepared.size(), 2u);
   auto tampered = std::make_shared<ViewChangeMessage>(*vc);
@@ -100,7 +100,7 @@ TEST(XpaxosMessagesTest, NewViewRoundTrip) {
   Fixture fx;
   std::vector<PrepareMessage> reproposals{
       PrepareMessage::make(fx.replica1, 2, 1, *fx.request())};
-  const auto nv = NewViewMessage::make(fx.replica1, 2, reproposals);
+  const auto nv = NewViewMessage::make(fx.replica1, 2, {}, reproposals);
   EXPECT_TRUE(nv->verify(fx.leader, 4));
   auto tampered = std::make_shared<NewViewMessage>(*nv);
   tampered->reproposals.clear();

@@ -1,6 +1,7 @@
 // bench_report — the BENCH_5 hot-path benchmark suite (DESIGN.md §11),
-// plus the BENCH_6 end-to-end SMR suite behind --bench6 (section 4) and
-// the BENCH_7 large-n scaling suite behind --bench7 (section 5).
+// plus the BENCH_6 end-to-end SMR suite behind --bench6 (section 4), the
+// BENCH_7 large-n scaling suite behind --bench7 (section 5) and the
+// BENCH_8 bounded-XPaxos-state suite behind --bench8 (section 6).
 //
 // Measures the three layers the delta-gossip PR optimizes and emits one
 // flat JSON object (stdout, or --out FILE):
@@ -58,6 +59,7 @@
 #include "suspect/delta_update_message.hpp"
 #include "suspect/suspicion_core.hpp"
 #include "suspect/update_message.hpp"
+#include "xpaxos/cluster.hpp"
 
 namespace qsel {
 namespace {
@@ -620,6 +622,96 @@ void bench7_metrics(std::vector<Metric>& metrics,
 }
 
 // --------------------------------------------------------------------------
+// 6. BENCH_8 — bounded XPaxos state (--bench8; DESIGN.md §16, EXPERIMENTS
+// E12). A loaded n = 4 cluster (16 serial clients on the sim substrate)
+// has its leader crashed at a short uptime and at one 8x longer. Each
+// uptime is sampled at four crash points a quarter checkpoint interval
+// apart, so where the crash falls between two checkpoints averages out.
+// Gated, long-uptime mean over short-uptime mean, at most 1.25 absolute
+// (both grow about 8x when the log is never truncated):
+//
+//   gate_bench8_viewchange_bytes_growth  mean VIEWCHANGE wire bytes
+//   gate_bench8_log_slots_growth         log slots retained per live
+//                                        replica, 150 ms after the crash
+//
+// Deterministic, identical in --quick and full mode.
+// --------------------------------------------------------------------------
+
+constexpr SimDuration kBench8ShortUptime = 60'000'000;    // ~2K slots
+constexpr double kBench8MaxGrowth = 1.25;
+
+struct Bench8Sample {
+  double viewchange_bytes = 0;
+  double log_slots = 0;
+};
+
+Bench8Sample bench8_crash(SimDuration crash_at) {
+  xpaxos::ClusterConfig config;
+  config.clients = 16;
+  config.seed = 8;
+  xpaxos::Cluster cluster(config);
+  cluster.start_clients(0);  // closed loop until the run ends
+  sim::Simulator& sim = cluster.simulator();
+  sim.schedule_after(crash_at, [&cluster] { cluster.network().crash(0); });
+  sim.run_until(crash_at + 150'000'000);
+
+  const metrics::MessageStats& stats = cluster.network().stats();
+  Bench8Sample sample;
+  if (const auto count = stats.by_type("xpaxos.viewchange"); count > 0)
+    sample.viewchange_bytes =
+        static_cast<double>(stats.bytes_by_type("xpaxos.viewchange")) /
+        static_cast<double>(count);
+  const ProcessSet alive = cluster.alive_replicas();
+  for (ProcessId id : alive)
+    sample.log_slots +=
+        static_cast<double>(cluster.replica(id).retained_log_slots());
+  sample.log_slots /= static_cast<double>(alive.size());
+  return sample;
+}
+
+/// Mean over four crash points a quarter checkpoint interval apart (about
+/// 7 ms of load each).
+Bench8Sample bench8_uptime(SimDuration uptime) {
+  Bench8Sample mean;
+  constexpr SimDuration kPoints = 4;
+  for (SimDuration i = 0; i < kPoints; ++i) {
+    const Bench8Sample s = bench8_crash(uptime + i * 7'000'000);
+    mean.viewchange_bytes += s.viewchange_bytes / kPoints;
+    mean.log_slots += s.log_slots / kPoints;
+  }
+  return mean;
+}
+
+void bench8_metrics(std::vector<Metric>& metrics,
+                    std::vector<std::string>& gate_keys) {
+  const Bench8Sample short_run = bench8_uptime(kBench8ShortUptime);
+  const Bench8Sample long_run = bench8_uptime(8 * kBench8ShortUptime);
+  metrics.push_back({"bench8_viewchange_bytes_short", short_run.viewchange_bytes});
+  metrics.push_back({"bench8_viewchange_bytes_long", long_run.viewchange_bytes});
+  metrics.push_back({"gate_bench8_viewchange_bytes_growth",
+                     long_run.viewchange_bytes / short_run.viewchange_bytes});
+  gate_keys.push_back("gate_bench8_viewchange_bytes_growth");
+  metrics.push_back({"bench8_log_slots_short", short_run.log_slots});
+  metrics.push_back({"bench8_log_slots_long", long_run.log_slots});
+  metrics.push_back({"gate_bench8_log_slots_growth",
+                     long_run.log_slots / short_run.log_slots});
+  gate_keys.push_back("gate_bench8_log_slots_growth");
+}
+
+/// BENCH_8's gates also hold absolutely: state may not grow with uptime.
+bool bench8_within_bound(const std::vector<Metric>& metrics) {
+  bool ok = true;
+  for (const Metric& m : metrics) {
+    if (m.key.rfind("gate_bench8_", 0) != 0 || m.value <= kBench8MaxGrowth)
+      continue;
+    std::fprintf(stderr, "bench_report: %s = %.4f exceeds %.2f\n",
+                 m.key.c_str(), m.value, kBench8MaxGrowth);
+    ok = false;
+  }
+  return ok;
+}
+
+// --------------------------------------------------------------------------
 // Report plumbing.
 // --------------------------------------------------------------------------
 
@@ -700,7 +792,8 @@ int finish_report(const std::vector<Metric>& metrics,
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--quick] [--bench6] [--bench7] [--out FILE]"
+               "usage: %s [--quick] [--bench6] [--bench7] [--bench8]"
+               " [--out FILE]"
                " [--baseline FILE] [--max-regress R]\n",
                argv0);
   return 2;
@@ -714,6 +807,7 @@ int main(int argc, char** argv) {
   bool quick = false;
   bool bench6 = false;
   bool bench7 = false;
+  bool bench8 = false;
   const char* out_path = nullptr;
   const char* baseline_path = nullptr;
   double max_regress = 0.25;
@@ -724,6 +818,8 @@ int main(int argc, char** argv) {
       bench6 = true;
     } else if (std::strcmp(argv[i], "--bench7") == 0) {
       bench7 = true;
+    } else if (std::strcmp(argv[i], "--bench8") == 0) {
+      bench8 = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
@@ -752,6 +848,14 @@ int main(int argc, char** argv) {
     metrics.push_back({"quick", quick ? 1.0 : 0.0});
     return finish_report(metrics, gate_keys, out_path, baseline_path,
                          max_regress);
+  }
+
+  if (bench8) {
+    bench8_metrics(metrics, gate_keys);
+    metrics.push_back({"quick", quick ? 1.0 : 0.0});
+    const int code = finish_report(metrics, gate_keys, out_path,
+                                   baseline_path, max_regress);
+    return bench8_within_bound(metrics) ? code : 1;
   }
 
   // Gossip bytes/round: identical deterministic workload in both modes

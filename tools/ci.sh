@@ -9,7 +9,9 @@
 #      TcpTransport, the 7-node tampered LoopbackCluster scenarios, the
 #      simulator/TCP parity check and Follower Selection over TCP) re-run
 #      as an explicitly named gate — socket and reconnect paths must be
-#      clean under ASan/UBSan, not just under virtual time;
+#      clean under ASan/UBSan, not just under virtual time — plus the
+#      long-labelled XPaxos leader crash after 15,000 slots over TCP (the
+#      view change must complete with zero acked-op loss);
 #   4. fuzz smoke: randomized fault schedules per protocol through
 #      tools/qsel_fuzz on the sanitized binary, so memory bugs on fuzz
 #      paths surface here and not in the nightly campaign. The generator's
@@ -53,6 +55,14 @@
 #      sparse matrix resident-bytes ratio. All deterministic, same 25%
 #      margin. The companion n = 96 fuzz soak (fuzz_n96_soak) is
 #      long-labelled and runs inside stage 2's sanitized full suite.
+#  11. bounded-state gate: tools/bench_report --bench8 against the
+#      committed BENCH_8.json — a leader crash at a short and an 8x longer
+#      uptime; mean VIEWCHANGE bytes and retained log slots per live
+#      replica may not grow with uptime (long/short <= 1.25, absolute and
+#      within 25% of the baseline). Deterministic, ~1 s of CPU.
+#  12. Release: a -DCMAKE_BUILD_TYPE=Release build (-O3, -Werror and every
+#      warning still on) and its tier-1 suite — perf work measures the
+#      optimized build, so it must build and pass too.
 #
 # Environment knobs: FUZZ_RUNS (default 100), FUZZ_SEED (default 1 —
 # nightly jobs should pass a varying seed, e.g. the date), SOAK_CYCLES,
@@ -63,41 +73,50 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 cd "$ROOT"
 
-echo "== [1/10] tier-1 build + tests =="
+echo "== [1/12] tier-1 build + tests =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"
 (cd build && ctest -L tier1 --output-on-failure -j"$JOBS")
 
-echo "== [2/10] ASan/UBSan full suite =="
+echo "== [2/12] ASan/UBSan full suite =="
 cmake -B build-asan -S . -DQSEL_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$JOBS"
 (cd build-asan && ctest --output-on-failure -j"$JOBS")
 
-echo "== [3/10] loopback integration (real TCP, sanitized) =="
+echo "== [3/12] loopback integration (real TCP, sanitized) =="
 (cd build-asan && ctest -L tier1 -R "EventLoopTest|TcpTransportTest|LoopbackClusterTest|LoopbackResilienceTest|FollowerLoopbackTest|WireTest" \
   --output-on-failure)
+(cd build-asan && ctest -R "XpaxosLoopbackCrashTest" --output-on-failure)
 
-echo "== [4/10] fuzz smoke (${FUZZ_RUNS:-100} runs/protocol, sanitized, combined archetypes included) =="
+echo "== [4/12] fuzz smoke (${FUZZ_RUNS:-100} runs/protocol, sanitized, combined archetypes included) =="
 ./build-asan/tools/qsel_fuzz --runs "${FUZZ_RUNS:-100}" --seed "${FUZZ_SEED:-1}"
 
-echo "== [5/10] kill/restart durability soak (${SOAK_CYCLES:-6} cycles, 5-node f=1, sanitized) =="
+echo "== [5/12] kill/restart durability soak (${SOAK_CYCLES:-6} cycles, 5-node f=1, sanitized) =="
 (cd build-asan && QSEL_SOAK_CYCLES="${SOAK_CYCLES:-6}" \
   ctest -R "RestartSoakTest" --output-on-failure)
 
-echo "== [6/10] benchmark regression gate (bench_report --quick vs committed BENCH_5.json) =="
+echo "== [6/12] benchmark regression gate (bench_report --quick vs committed BENCH_5.json) =="
 (cd build && ctest -R '^bench_report_quick$' --output-on-failure)
 
-echo "== [7/10] sharded loopback soak (migration + node kill/restart under load, sanitized) =="
+echo "== [7/12] sharded loopback soak (migration + node kill/restart under load, sanitized) =="
 (cd build-asan && QSEL_SHARD_SOAK_OPS="${SHARD_SOAK_OPS:-30}" \
   ctest -R "ShardSoakTest" --output-on-failure)
 
-echo "== [8/10] campaign smoke (guided, 4-protocol bake-off, seed corpus replay, sanitized) =="
+echo "== [8/12] campaign smoke (guided, 4-protocol bake-off, seed corpus replay, sanitized) =="
 (cd build-asan && ctest -R "campaign_smoke" --output-on-failure)
 
-echo "== [9/10] end-to-end SMR gate (bench_report --bench6 --quick vs committed BENCH_6.json) =="
+echo "== [9/12] end-to-end SMR gate (bench_report --bench6 --quick vs committed BENCH_6.json) =="
 (cd build && ctest -R '^bench6_report_quick$' --output-on-failure)
 
-echo "== [10/10] large-n scaling gate (bench_report --bench7 vs committed BENCH_7.json) =="
+echo "== [10/12] large-n scaling gate (bench_report --bench7 vs committed BENCH_7.json) =="
 (cd build && ctest -R '^bench7_report_quick$' --output-on-failure)
+
+echo "== [11/12] bounded-state gate (bench_report --bench8 vs committed BENCH_8.json) =="
+(cd build && ctest -R '^bench8_report_quick$' --output-on-failure)
+
+echo "== [12/12] Release build + tier-1 tests =="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j"$JOBS"
+(cd build-release && ctest -L tier1 --output-on-failure -j"$JOBS")
 
 echo "CI gate passed."

@@ -11,9 +11,11 @@
 // real TCP on 127.0.0.1 and reports wall-clock throughput.
 //
 // --json prints the single-line report JSON (fixed key order); without it
-// a short human-readable summary goes to stdout. Bad arguments exit 2; a
-// zero-length run (--duration-ms 0, no --requests) is valid and prints a
-// clean empty report.
+// a short human-readable summary goes to stdout. Bad arguments exit 2,
+// including an --outstanding or --max-outstanding above the replicas'
+// per-client reply window (smr::kReplyWindow, 256); a zero-length run
+// (--duration-ms 0, no --requests) is valid and prints a clean empty
+// report.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +23,7 @@
 #include <string>
 
 #include "load/driver.hpp"
+#include "smr/client_messages.hpp"
 
 namespace {
 
@@ -44,6 +47,13 @@ std::uint64_t parse_u64(const char* arg, const char* argv0) {
   const unsigned long long value = std::strtoull(arg, &end, 10);
   if (end == arg || *end != '\0') usage(argv0);
   return value;
+}
+
+/// A per-client in-flight window: 1..smr::kReplyWindow.
+std::uint32_t parse_window(const char* arg, const char* argv0) {
+  const std::uint64_t value = parse_u64(arg, argv0);
+  if (value == 0 || value > smr::kReplyWindow) usage(argv0);
+  return static_cast<std::uint32_t>(value);
 }
 
 double parse_double(const char* arg, const char* argv0) {
@@ -82,15 +92,11 @@ int main(int argc, char** argv) {
       config.clients = static_cast<std::uint32_t>(parse_u64(next(), argv[0]));
       if (config.clients == 0) usage(argv[0]);
     } else if (arg == "--outstanding") {
-      config.outstanding =
-          static_cast<std::uint32_t>(parse_u64(next(), argv[0]));
-      if (config.outstanding == 0) usage(argv[0]);
+      config.outstanding = parse_window(next(), argv[0]);
     } else if (arg == "--rate") {
       config.open_rate_per_sec = parse_u64(next(), argv[0]);
     } else if (arg == "--max-outstanding") {
-      config.max_outstanding =
-          static_cast<std::uint32_t>(parse_u64(next(), argv[0]));
-      if (config.max_outstanding == 0) usage(argv[0]);
+      config.max_outstanding = parse_window(next(), argv[0]);
     } else if (arg == "--requests") {
       config.requests_per_client = parse_u64(next(), argv[0]);
     } else if (arg == "--duration-ms") {
