@@ -10,8 +10,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "net/event_loop.hpp"
-#include "net/tcp_transport.hpp"
+#include "net/loopback_mesh.hpp"
 #include "runtime/sim_transport.hpp"
 #include "sim/simulator.hpp"
 #include "smr/client.hpp"
@@ -250,56 +249,34 @@ LoadReport run_sim(const LoadConfig& config) {
 
 LoadReport run_loopback(const LoadConfig& config) {
   QSEL_REQUIRE(config.n >= 1 && config.clients >= 1);
-  net::EventLoop loop;
   const auto total = static_cast<ProcessId>(config.n + config.clients);
   crypto::KeyRegistry keys(total, config.seed);
+  net::TcpTransport::Config tcp;
+  tcp.auth_seed = config.seed;
+  net::LoopbackMesh mesh(total, tcp);
 
-  std::vector<std::unique_ptr<net::TcpTransport>> transports(total);
-  std::vector<std::uint16_t> ports(total, 0);
-  for (ProcessId id = 0; id < total; ++id) {
-    net::TcpTransport::Config tcp;
-    tcp.self = id;
-    tcp.n = total;
-    tcp.auth_seed = config.seed;
-    transports[id] = std::make_unique<net::TcpTransport>(loop, tcp);
-    ports[id] = transports[id]->listen_port();
-  }
-  for (ProcessId from = 0; from < total; ++from)
-    for (ProcessId to = 0; to < total; ++to)
-      if (from != to) transports[from]->set_peer(to, ports[to]);
-
-  // Real-time failure-detector pacing (loopback_cluster.hpp rationale):
-  // virtual-time defaults would suspect healthy peers on scheduler jitter.
+  // Real-time failure-detector pacing (loopback_mesh.hpp): virtual-time
+  // defaults would suspect healthy peers on scheduler jitter.
   xpaxos::ReplicaConfig rc = replica_config(config);
-  rc.fd = fd::FailureDetectorConfig{/*initial_timeout=*/40'000'000,
-                                    /*max_timeout=*/1'000'000'000,
-                                    /*adaptive=*/true};
+  rc.fd = net::kRealTimeFd;
   std::vector<std::unique_ptr<xpaxos::Replica>> replicas;
   for (ProcessId id = 0; id < config.n; ++id)
     replicas.push_back(
-        std::make_unique<xpaxos::Replica>(*transports[id], keys, rc));
+        std::make_unique<xpaxos::Replica>(mesh.transport(id), keys, rc));
 
   LoadReport report;
   std::vector<ClientRig> rigs;
   for (std::uint32_t i = 0; i < config.clients; ++i)
-    rigs.push_back(make_rig(*transports[config.n + i], keys, config, i));
+    rigs.push_back(make_rig(mesh.transport(config.n + i), keys, config, i));
 
-  for (auto& transport : transports) transport->start();
-  const auto fully_connected = [&] {
-    for (ProcessId from = 0; from < total; ++from)
-      for (ProcessId to = 0; to < total; ++to)
-        if (from != to && !transports[from]->connected_to(to)) return false;
-    return true;
-  };
-  QSEL_REQUIRE_MSG(loop.run_until(fully_connected, 10'000'000'000),
-                   "loopback mesh did not connect");
+  QSEL_REQUIRE_MSG(mesh.start(10'000'000'000), "loopback mesh did not connect");
 
   const auto started = std::chrono::steady_clock::now();
   start_load(rigs, config, report.latency);
   if (config.requests_per_client > 0) {
-    loop.run_until([&] { return all_done(rigs); }, 120'000'000'000ULL);
+    mesh.loop().run_until([&] { return all_done(rigs); }, 120'000'000'000ULL);
   } else {
-    loop.run_for(config.duration_ms * 1'000'000);
+    mesh.loop().run_for(config.duration_ms * 1'000'000);
   }
   for (auto& rig : rigs) rig.pacer.cancel();
   report.duration_ns = static_cast<std::uint64_t>(
@@ -311,15 +288,14 @@ LoadReport run_loopback(const LoadConfig& config) {
   for (const auto& replica : replicas)
     report.view_changes += replica->view_changes();
   report.app_digest = replicas[0]->store().state_digest();
-  for (const auto& transport : transports) {
-    report.net_messages += transport->io_stats().frames_sent;
-    report.net_bytes += transport->io_stats().bytes_sent;
-    report.frames_shared += transport->io_stats().frames_shared;
+  for (ProcessId id = 0; id < total; ++id) {
+    const net::IoStats& io = mesh.transport(id).io_stats();
+    report.net_messages += io.frames_sent;
+    report.net_bytes += io.bytes_sent;
+    report.frames_shared += io.frames_shared;
   }
   // PREPARE counting is a sim-substrate metric (per-type tags live in
   // sim::Network's MessageStats); the loopback report leaves it 0.
-  replicas.clear();  // protocol first: timers cancelled before sockets die
-  for (auto& transport : transports) transport->shutdown();
   return report;
 }
 

@@ -202,8 +202,6 @@ ClusterConfig ClusterConfig::parse(std::string_view text) {
     } else if (key == "heartbeat_ms") {
       config.heartbeat_period =
           parse_u64(value, line_no, "heartbeat_ms") * 1'000'000;
-    } else if (key == "round_ms") {
-      config.round_length = parse_u64(value, line_no, "round_ms") * 1'000'000;
     } else if (key == "fd_initial_ms") {
       config.fd_initial_timeout =
           parse_u64(value, line_no, "fd_initial_ms") * 1'000'000;
@@ -315,7 +313,6 @@ std::string ClusterConfig::to_text() const {
   }
   out << "seed = " << seed << "\n";
   out << "heartbeat_ms = " << heartbeat_period / 1'000'000 << "\n";
-  out << "round_ms = " << round_length / 1'000'000 << "\n";
   out << "fd_initial_ms = " << fd_initial_timeout / 1'000'000 << "\n";
   out << "fd_max_ms = " << fd_max_timeout / 1'000'000 << "\n";
   out << "reconnect_base_ms = " << reconnect_base / 1'000'000 << "\n";

@@ -14,7 +14,7 @@
 // simulation, wall-clock time here. This is the keystone of the
 // simulator-vs-TCP parity contract (net/transport.hpp).
 //
-// Single-threaded by design: every TcpTransport of a LoopbackCluster and
+// Single-threaded by design: every TcpTransport of a LoopbackMesh and
 // every callback runs on the thread that calls run()/run_for(), so no
 // protocol state needs locks and sanitizer runs stay race-free.
 #pragma once

@@ -1,6 +1,7 @@
 #include "net/loopback_cluster.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -9,33 +10,25 @@
 
 namespace qsel::net {
 
-LoopbackClusterConfig loopback_config_from(const ClusterConfig& cluster) {
-  LoopbackClusterConfig config;
-  config.n = cluster.n;
-  config.f = cluster.f;
-  config.seed = cluster.seed;
-  config.heartbeat_period = cluster.heartbeat_period;
-  config.fd.initial_timeout = cluster.fd_initial_timeout;
-  config.fd.max_timeout = cluster.fd_max_timeout;
-  config.fd.adaptive = true;
-  config.auth_key = cluster.auth_key;
-  config.store_root = cluster.store_dir;
-  config.reconnect.base = cluster.reconnect_base;
-  config.reconnect.cap = cluster.reconnect_cap;
-  return config;
+namespace {
+
+TcpTransport::Config tcp_config(const LoopbackClusterConfig& config) {
+  TcpTransport::Config tcp;
+  tcp.auth_key = config.auth_key;
+  tcp.auth_seed = config.seed;
+  return tcp;
 }
 
-LoopbackCluster::LoopbackCluster(LoopbackClusterConfig config)
-    : config_(config),
-      keys_(config.n, config.seed),
-      stores_(config.n),
-      transports_(config.n),
-      tampers_(config.n),
-      processes_(config.n),
-      ports_(config.n, 0),
-      tamper_seed_state_(config.tamper.seed) {
-  QSEL_REQUIRE(config_.n >= 1 && config_.n <= kMaxProcesses);
+}  // namespace
 
+LoopbackCluster::LoopbackCluster(LoopbackClusterConfig config)
+    : config_(std::move(config)),
+      mesh_(config_.n, tcp_config(config_)),
+      keys_(config_.n, config_.seed),
+      stores_(config_.n),
+      tampers_(config_.n),
+      processes_(config_.n),
+      tamper_seed_state_(config_.tamper.seed) {
   // Every node gets a store so restart() can recover it: files when the
   // config names a root (survives the cluster object — the soak harness
   // reuses them), memory otherwise.
@@ -47,48 +40,23 @@ LoopbackCluster::LoopbackCluster(LoopbackClusterConfig config)
           config_.store_root + "/node" + std::to_string(id), config_.n);
     }
   }
-
-  // Every transport binds its listen socket in its constructor, so by the
-  // time the wiring pass below runs, every port is known — no races, no
-  // fixed port numbers to collide on.
-  for (ProcessId id = 0; id < config_.n; ++id)
-    build_node(id, /*port=*/0, splitmix64(tamper_seed_state_));
-  for (ProcessId id = 0; id < config_.n; ++id)
-    ports_[id] = transports_[id]->listen_port();
-  for (ProcessId from = 0; from < config_.n; ++from)
-    for (ProcessId to = 0; to < config_.n; ++to)
-      if (from != to) transports_[from]->set_peer(to, ports_[to]);
+  for (ProcessId id = 0; id < config_.n; ++id) attach(id);
 }
 
-void LoopbackCluster::build_node(ProcessId id, std::uint16_t port,
-                                 std::uint64_t tamper_seed) {
-  TcpTransport::Config tcp;
-  tcp.self = id;
-  tcp.n = config_.n;
-  tcp.listen_port = port;
-  tcp.auth_key = config_.auth_key;
-  tcp.auth_seed = config_.seed;
-  tcp.reconnect = config_.reconnect;
-  transports_[id] = std::make_unique<TcpTransport>(loop_, tcp);
+void LoopbackCluster::attach(ProcessId id) {
   TamperConfig tamper = config_.tamper;
-  tamper.seed = tamper_seed;
-  tampers_[id] =
-      std::make_unique<TamperedTransport>(*transports_[id], tamper);
+  tamper.seed = splitmix64(tamper_seed_state_);
+  tampers_[id] = std::make_unique<FrameTamper>(mesh_.transport(id), tamper);
   if (partition_) tampers_[id]->partition(*partition_);
   processes_[id] = std::make_unique<runtime::NodeProcess>(
-      *tampers_[id], keys_,
+      mesh_.transport(id), keys_,
       runtime::NodeProcessConfig{config_.n, config_.f, config_.fd,
                                  config_.heartbeat_period},
       stores_[id].get());
   if (tracer_ != nullptr) {
-    transports_[id]->set_tracer(tracer_);
+    mesh_.transport(id).set_tracer(tracer_);
     processes_[id]->selector().set_tracer(tracer_);
   }
-}
-
-LoopbackCluster::~LoopbackCluster() {
-  for (auto& transport : transports_)
-    if (transport) transport->shutdown();
 }
 
 runtime::NodeProcess& LoopbackCluster::process(ProcessId id) {
@@ -96,73 +64,42 @@ runtime::NodeProcess& LoopbackCluster::process(ProcessId id) {
   return *processes_[id];
 }
 
-TamperedTransport& LoopbackCluster::tamper(ProcessId id) {
+FrameTamper& LoopbackCluster::tamper(ProcessId id) {
   QSEL_REQUIRE(id < config_.n);
   return *tampers_[id];
 }
 
-TcpTransport& LoopbackCluster::transport(ProcessId id) {
-  QSEL_REQUIRE(id < config_.n);
-  return *transports_[id];
-}
-
 void LoopbackCluster::attach_tracer(trace::Tracer& tracer) {
   tracer_ = &tracer;
-  tracer.set_clock([this] { return loop_.now_ns(); });
+  tracer.set_clock([this] { return loop().now_ns(); });
   for (ProcessId id = 0; id < config_.n; ++id) {
-    transports_[id]->set_tracer(&tracer);
+    mesh_.transport(id).set_tracer(&tracer);
     processes_[id]->selector().set_tracer(&tracer);
   }
 }
 
 bool LoopbackCluster::start(std::uint64_t connect_timeout_ns) {
-  for (auto& transport : transports_) transport->start();
-  if (!run_until([this] { return fully_connected(); }, connect_timeout_ns))
-    return false;
+  if (!mesh_.start(connect_timeout_ns)) return false;
   for (auto& process : processes_) process->start();
   return true;
 }
 
-bool LoopbackCluster::fully_connected() const {
-  for (ProcessId from = 0; from < config_.n; ++from) {
-    if (crashed_.contains(from)) continue;
-    for (ProcessId to = 0; to < config_.n; ++to) {
-      if (to == from || crashed_.contains(to)) continue;
-      if (!transports_[from]->connected_to(to)) return false;
-    }
-  }
-  return true;
-}
-
 void LoopbackCluster::crash(ProcessId id) {
-  QSEL_REQUIRE(id < config_.n);
-  processes_[id]->stop();
-  transports_[id]->shutdown();
-  crashed_.insert(id);
+  process(id).stop();
+  mesh_.crash(id);
 }
 
 void LoopbackCluster::restart(ProcessId id) {
-  QSEL_REQUIRE(id < config_.n);
-  QSEL_REQUIRE_MSG(crashed_.contains(id), "restart() needs a prior crash()");
-  // Tear down in dependency order (node holds the tamper wrapper holds
-  // the transport), then rebuild on the original port so peers' reconnect
-  // loops — which kept dialing it throughout the outage — find the
-  // revived listener without any rewiring.
+  QSEL_REQUIRE_MSG(id < config_.n && !alive().contains(id),
+                   "restart() needs a prior crash()");
+  // The node and its tamper go before the mesh rebuilds their transport
+  // on the original port, where peers' reconnect loops — which kept
+  // dialing it throughout the outage — find it without any rewiring.
   processes_[id].reset();
   tampers_[id].reset();
-  transports_[id].reset();
-  build_node(id, ports_[id], splitmix64(tamper_seed_state_));
-  QSEL_REQUIRE(transports_[id]->listen_port() == ports_[id]);
-  for (ProcessId to = 0; to < config_.n; ++to)
-    if (to != id) transports_[id]->set_peer(to, ports_[to]);
-  crashed_.erase(id);
-  transports_[id]->start();
+  mesh_.restart(id);
+  attach(id);
   processes_[id]->start();
-}
-
-store::NodeStore& LoopbackCluster::store(ProcessId id) {
-  QSEL_REQUIRE(id < config_.n);
-  return *stores_[id];
 }
 
 void LoopbackCluster::partition(ProcessSet side_a) {
@@ -173,10 +110,6 @@ void LoopbackCluster::partition(ProcessSet side_a) {
 void LoopbackCluster::heal() {
   partition_.reset();
   for (auto& tamper : tampers_) tamper->heal();
-}
-
-ProcessSet LoopbackCluster::alive() const {
-  return ProcessSet::full(config_.n) - crashed_;
 }
 
 bool LoopbackCluster::converged() const {

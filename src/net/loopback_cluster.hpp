@@ -1,17 +1,16 @@
 // LoopbackCluster — n NodeProcesses over real TCP on 127.0.0.1.
 //
-// The TCP twin of runtime::QuorumCluster: one EventLoop hosts n
-// TcpTransports (ephemeral ports, wired pairwise before any node starts),
-// each wrapped in a TamperedTransport for byte-level fault injection, each
-// driving a full runtime::NodeProcess stack. Everything runs on the one
-// thread that pumps the loop, so a whole multi-node integration test is a
-// single sequential program — no races to sanitize away, and cluster
+// The TCP twin of runtime::QuorumCluster: a LoopbackMesh of n
+// TcpTransports, each with a FrameTamper for byte-level fault injection,
+// each driving a full runtime::NodeProcess stack. Everything runs on the
+// one thread that pumps the loop, so a whole multi-node integration test
+// is a single sequential program — no races to sanitize away, and cluster
 // state can be inspected between poll rounds.
 //
 // Faults available to tests: crash(id) (stops the node and closes its
 // sockets — peers see resets and reconnect-with-backoff against a dead
 // port), partition(side)/heal() (frame drops crossing the cut, applied to
-// every node's tamper wrapper), and the TamperConfig rates (random drop /
+// every node's tamper), and the TamperConfig rates (random drop /
 // delay / duplicate / split on every frame).
 //
 // Convergence on real time is awaited, not asserted at a fixed instant:
@@ -34,8 +33,8 @@
 #include "crypto/sha256.hpp"
 #include "crypto/signer.hpp"
 #include "fd/failure_detector.hpp"
-#include "net/cluster_config.hpp"
 #include "net/event_loop.hpp"
+#include "net/loopback_mesh.hpp"
 #include "net/tamper.hpp"
 #include "net/tcp_transport.hpp"
 #include "runtime/node_process.hpp"
@@ -50,9 +49,7 @@ struct LoopbackClusterConfig {
   /// Real-time pacing: heartbeats every 10ms with a 40ms initial timeout
   /// ride out scheduler jitter that virtual time never sees.
   SimDuration heartbeat_period = 10'000'000;
-  fd::FailureDetectorConfig fd{/*initial_timeout=*/40'000'000,
-                               /*max_timeout=*/1'000'000'000,
-                               /*adaptive=*/true};
+  fd::FailureDetectorConfig fd = kRealTimeFd;
   TamperConfig tamper;  // rates default to 0 = clean network
   /// Shared channel-auth key for every transport (tcp_transport.hpp);
   /// empty = legacy unauthenticated channels.
@@ -60,26 +57,16 @@ struct LoopbackClusterConfig {
   /// Root for per-node FileNodeStores (<root>/node<i>). Empty = in-memory
   /// stores: restart() still recovers, but state dies with the cluster.
   std::string store_root;
-  BackoffConfig reconnect{};
 };
-
-/// Maps a deployable ClusterConfig onto the loopback harness. Host:port
-/// assignments are ignored — the harness always binds ephemeral loopback
-/// ports — but n, f, seed, the auth key, the store root, and every timing
-/// constant carry over, so a config file exercised here behaves
-/// identically (modulo addresses) when handed to real qsel_node processes.
-LoopbackClusterConfig loopback_config_from(const ClusterConfig& cluster);
 
 class LoopbackCluster {
  public:
   explicit LoopbackCluster(LoopbackClusterConfig config);
-  ~LoopbackCluster();
 
-  EventLoop& loop() { return loop_; }
-  const LoopbackClusterConfig& config() const { return config_; }
+  EventLoop& loop() { return mesh_.loop(); }
   runtime::NodeProcess& process(ProcessId id);
-  TamperedTransport& tamper(ProcessId id);
-  TcpTransport& transport(ProcessId id);
+  FrameTamper& tamper(ProcessId id);
+  TcpTransport& transport(ProcessId id) { return mesh_.transport(id); }
 
   /// Wires `tracer` (which must outlive the cluster) into the loop clock,
   /// every transport's send/deliver/drop stream and every node's suspicion
@@ -93,14 +80,14 @@ class LoopbackCluster {
 
   /// Every ordered pair of non-crashed nodes has an established outgoing
   /// connection.
-  bool fully_connected() const;
+  bool fully_connected() const { return mesh_.fully_connected(); }
 
   /// Pumps the event loop until `pred` holds; false on timeout.
   bool run_until(const std::function<bool()>& pred,
                  std::uint64_t timeout_ns) {
-    return loop_.run_until(pred, timeout_ns);
+    return loop().run_until(pred, timeout_ns);
   }
-  void run_for(std::uint64_t duration_ns) { loop_.run_for(duration_ns); }
+  void run_for(std::uint64_t duration_ns) { loop().run_for(duration_ns); }
 
   /// Stops the node's heartbeats and closes all its sockets; peers notice
   /// only through silence, as with a real process kill.
@@ -113,14 +100,12 @@ class LoopbackCluster {
   /// their own. The caller still pumps the loop to convergence.
   void restart(ProcessId id);
 
-  store::NodeStore& store(ProcessId id);
-
-  /// Applies partition/heal to every node's tamper wrapper (sender-side
-  /// frame drops crossing the cut — equivalent to cutting the links).
+  /// Applies partition/heal to every node's tamper (sender-side frame
+  /// drops crossing the cut — equivalent to cutting the links).
   void partition(ProcessSet side_a);
   void heal();
 
-  ProcessSet alive() const;
+  ProcessSet alive() const { return mesh_.alive(); }
 
   /// All alive nodes hold identical suspicion matrices (and there is at
   /// least one). Identical matrices make same-epoch quorums identical, so
@@ -138,23 +123,19 @@ class LoopbackCluster {
   crypto::Digest outcome_digest() const;
 
  private:
-  /// Builds transport + tamper wrapper + node for one id, reusing the
-  /// node's store; `port` is 0 on first boot, the original port on
-  /// restart.
-  void build_node(ProcessId id, std::uint16_t port, std::uint64_t tamper_seed);
+  /// Builds the tamper (next seed in the stream) and the node over the
+  /// id's mesh transport, reusing the node's store.
+  void attach(ProcessId id);
 
   LoopbackClusterConfig config_;
-  EventLoop loop_;  // declared first: destroyed last, after its clients
+  LoopbackMesh mesh_;  // declared before the nodes: destroyed after them
   crypto::KeyRegistry keys_;
   std::vector<std::unique_ptr<store::NodeStore>> stores_;
-  std::vector<std::unique_ptr<TcpTransport>> transports_;
-  std::vector<std::unique_ptr<TamperedTransport>> tampers_;
+  std::vector<std::unique_ptr<FrameTamper>> tampers_;
   std::vector<std::unique_ptr<runtime::NodeProcess>> processes_;
-  std::vector<std::uint16_t> ports_;  // original listen ports, for restart
   std::uint64_t tamper_seed_state_;
   trace::Tracer* tracer_ = nullptr;
   std::optional<ProcessSet> partition_;
-  ProcessSet crashed_;
 };
 
 /// Chained trace digest over synthetic <QUORUM> events, one per (id,

@@ -4,27 +4,27 @@
 
 namespace qsel::net {
 
-TamperedTransport::TamperedTransport(TcpTransport& inner, TamperConfig config)
-    : inner_(inner), config_(config), rng_(config.seed) {
+FrameTamper::FrameTamper(TcpTransport& transport, TamperConfig config)
+    : self_(transport.self()), config_(config), rng_(config.seed) {
   QSEL_REQUIRE(config_.delay_min <= config_.delay_max);
-  inner_.set_write_tamper([this](ProcessId to, std::size_t frame_bytes) {
+  transport.set_write_tamper([this](ProcessId to, std::size_t frame_bytes) {
     return plan(to, frame_bytes);
   });
 }
 
-void TamperedTransport::partition(ProcessSet side_a) {
+void FrameTamper::partition(ProcessSet side_a) {
   partitioned_ = true;
   side_a_ = side_a;
 }
 
-void TamperedTransport::heal() {
+void FrameTamper::heal() {
   partitioned_ = false;
   side_a_.clear();
 }
 
-TamperPlan TamperedTransport::plan(ProcessId to, std::size_t frame_bytes) {
+TamperPlan FrameTamper::plan(ProcessId to, std::size_t frame_bytes) {
   TamperPlan result;
-  if (partitioned_ && side_a_.contains(self()) != side_a_.contains(to)) {
+  if (partitioned_ && side_a_.contains(self_) != side_a_.contains(to)) {
     ++frames_dropped_;
     result.drop = true;
     return result;

@@ -1,27 +1,25 @@
-// TamperedTransport — byte-level fault injection over a TcpTransport.
+// FrameTamper — byte-level fault injection on a TcpTransport's frames.
 //
-// Wraps a TcpTransport and installs its write-tamper hook (see
-// tcp_transport.hpp): every outgoing message frame is independently
-// dropped, delayed (whole-frame re-enqueue — reorders messages, never
-// corrupts the stream), duplicated, or split so the first write syscall
-// stops mid-frame and the receiver exercises partial-frame reassembly.
-// All randomness comes from one seeded Rng, so a loopback test's fault
-// pattern is reproducible modulo socket timing.
+// Installs the transport's write-tamper hook (see tcp_transport.hpp):
+// every outgoing message frame is independently dropped, delayed
+// (whole-frame re-enqueue — reorders messages, never corrupts the stream),
+// duplicated, or split so the first write syscall stops mid-frame and the
+// receiver exercises partial-frame reassembly. All randomness comes from
+// one seeded Rng, so a loopback test's fault pattern is reproducible
+// modulo socket timing.
 //
 // It also models partitions the way sim::Network does: partition(side_a)
 // drops every frame crossing between side_a and its complement; heal()
 // lifts it. LoopbackCluster applies the same partition to every node's
-// wrapper, so sender-side dropping is equivalent to cutting the links.
+// tamper, so sender-side dropping is equivalent to cutting the links.
 //
-// The wrapper IS the node's Transport (NodeProcess binds to it), so its
-// handler, timers and identity all pass straight through to the inner
-// transport — faults live exclusively on the outgoing byte path, exactly
-// where the omission/timing faults of the paper's model live.
+// The node binds to the transport itself: faults live exclusively on the
+// outgoing byte path, exactly where the omission/timing faults of the
+// paper's model live.
 #pragma once
 
 #include "common/rng.hpp"
 #include "net/tcp_transport.hpp"
-#include "net/transport.hpp"
 
 namespace qsel::net {
 
@@ -33,19 +31,22 @@ struct TamperConfig {
   double duplicate_rate = 0.0;
   double split_rate = 0.0;
   /// Bit-flip a random on-wire byte past the length prefix (a corrupting
-  /// link). Only meaningful when the inner transport authenticates
-  /// frames: the MAC check turns the flip into a detected drop. Without
-  /// auth a flipped byte can silently decode as a different message —
-  /// never enable this on an unauthenticated cluster whose oracles
-  /// assume delivered == sent.
+  /// link). Only meaningful when the transport authenticates frames: the
+  /// MAC check turns the flip into a detected drop. Without auth a
+  /// flipped byte can silently decode as a different message — never
+  /// enable this on an unauthenticated cluster whose oracles assume
+  /// delivered == sent.
   double corrupt_rate = 0.0;
   std::uint64_t seed = 1;
 };
 
-class TamperedTransport final : public Transport {
+class FrameTamper {
  public:
-  /// `inner` must outlive the wrapper; the wrapper owns its tamper hook.
-  TamperedTransport(TcpTransport& inner, TamperConfig config);
+  /// Installs the hook on `transport`, which consults this tamper on every
+  /// frame it sends from then on: the tamper must outlive those sends.
+  FrameTamper(TcpTransport& transport, TamperConfig config);
+  FrameTamper(const FrameTamper&) = delete;
+  FrameTamper& operator=(const FrameTamper&) = delete;
 
   /// Drops frames crossing between `side_a` and its complement until
   /// heal(). Applies on top of the random faults.
@@ -61,25 +62,10 @@ class TamperedTransport final : public Transport {
   std::uint64_t frames_split() const { return frames_split_; }
   std::uint64_t frames_corrupted() const { return frames_corrupted_; }
 
-  // --- Transport: pass-through to the inner TcpTransport ---------------
-  ProcessId self() const override { return inner_.self(); }
-  ProcessId process_count() const override { return inner_.process_count(); }
-  sim::Simulator& timers() override { return inner_.timers(); }
-  SimDuration round_length() const override { return inner_.round_length(); }
-  void set_handler(Handler handler) override {
-    inner_.set_handler(std::move(handler));
-  }
-  void send(ProcessId to, sim::PayloadPtr message) override {
-    inner_.send(to, std::move(message));
-  }
-  void broadcast(ProcessSet targets, const sim::PayloadPtr& message) override {
-    inner_.broadcast(targets, message);
-  }
-
  private:
   TamperPlan plan(ProcessId to, std::size_t frame_bytes);
 
-  TcpTransport& inner_;
+  ProcessId self_;
   TamperConfig config_;
   Rng rng_;
   bool tamper_enabled_ = true;

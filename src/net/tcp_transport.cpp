@@ -47,6 +47,7 @@ constexpr std::size_t kChallengeFrameBytes = 1 + 8 + 32;  // tag|nonce|proof
 // Truncated per-frame MAC length. 128 bits: forging still needs 2^64 HMAC
 // evaluations online, while halving the per-heartbeat overhead.
 constexpr std::size_t kMacBytes = 16;
+static_assert(TcpTransport::kMaxFrameBytes >= 4 + kMacBytes);
 
 // Per-process jitter stream: same auth_seed, distinct processes.
 std::uint64_t splitmix_mix(std::uint64_t seed, std::uint64_t salt) {
@@ -151,10 +152,9 @@ TcpTransport::TcpTransport(EventLoop& loop, Config config)
       reconnect_attempts_(config.n, 0),
       reconnect_timers_(config.n) {
   QSEL_REQUIRE(config_.n >= 1 && config_.self < config_.n);
-  QSEL_REQUIRE(config_.max_frame_bytes >= 4 + kMacBytes);
   if (auth_enabled())
     quarantine_ = std::make_unique<QuarantinePolicy>(
-        config_.n, config_.quarantine, rng_());
+        config_.n, QuarantineConfig{}, rng_());
 
   listen_fd_ = make_nonblocking_socket();
   if (listen_fd_ < 0)
@@ -736,7 +736,7 @@ bool TcpTransport::parse_frames(Connection* conn) {
         (static_cast<std::uint32_t>(p[1]) << 8) |
         (static_cast<std::uint32_t>(p[2]) << 16) |
         (static_cast<std::uint32_t>(p[3]) << 24);
-    if (len > config_.max_frame_bytes) {
+    if (len > kMaxFrameBytes) {
       QSEL_LOG(kWarn, "net") << "p" << config_.self
                              << " closing connection: oversized frame ("
                              << len << " bytes)";
@@ -761,7 +761,7 @@ bool TcpTransport::parse_frames(Connection* conn) {
   if (pos > 0)
     conn->inbuf.erase(conn->inbuf.begin(),
                       conn->inbuf.begin() + static_cast<std::ptrdiff_t>(pos));
-  if (conn->inbuf.size() > config_.max_frame_bytes + 4) {
+  if (conn->inbuf.size() > kMaxFrameBytes + 4) {
     // A frame header promised more than the cap admits in one piece; the
     // oversize check above already caught that, so this is unreachable
     // unless inbuf grows without a parsable header — treat as garbage.

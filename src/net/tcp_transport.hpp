@@ -10,7 +10,7 @@
 //
 // Wire protocol, in connection order (unauthenticated / legacy mode):
 //
-//   frame     := u32-LE body length || body          (length <= max_frame)
+//   frame     := u32-LE body length || body    (length <= kMaxFrameBytes)
 //   1st frame := HELLO: u8 0 || u32-LE sender id     (transport-level)
 //   others    := wire.hpp message bodies (u8 type tag || codec fields)
 //
@@ -129,6 +129,14 @@ struct TamperPlan {
 
 class TcpTransport final : public Transport {
  public:
+  /// Failure-detector round length (transport.hpp). 20ms is a generous
+  /// loopback bound: it absorbs poll quantization and scheduler jitter
+  /// without making suspicion latency tests crawl.
+  static constexpr SimDuration kRoundLength = 20'000'000;
+  /// Largest frame body a receiver accepts; a longer length prefix closes
+  /// the connection.
+  static constexpr std::size_t kMaxFrameBytes = 1 << 20;
+
   struct Config {
     ProcessId self = 0;
     ProcessId n = 1;
@@ -137,22 +145,16 @@ class TcpTransport final : public Transport {
     std::uint16_t listen_port = 0;
     /// Numeric IPv4 address to bind; 0.0.0.0 for multi-machine clusters.
     std::string bind_host = "127.0.0.1";
-    /// Failure-detector round length (transport.hpp). 20ms is a generous
-    /// loopback bound: it absorbs poll quantization and scheduler jitter
-    /// without making suspicion latency tests crawl.
-    SimDuration round_length = 20'000'000;
-    std::size_t max_frame_bytes = 1 << 20;
     /// Reconnect schedule: jittered exponential backoff.
     BackoffConfig reconnect{};
     /// Shared cluster key. Empty = legacy unauthenticated mode; nonempty
     /// enables the HELLO/CHALLENGE/AUTH handshake, per-frame MACs, and
-    /// the offense quarantine (header comment).
+    /// the offense quarantine (header comment, QuarantineConfig defaults).
     std::vector<std::uint8_t> auth_key;
     /// Seeds backoff and quarantine jitter (deterministic tests).
     /// Handshake nonces do NOT come from this seed — they are drawn from
     /// the OS entropy pool so session keys never repeat across restarts.
     std::uint64_t auth_seed = 1;
-    QuarantineConfig quarantine{};
   };
 
   using WriteTamper =
@@ -175,7 +177,7 @@ class TcpTransport final : public Transport {
 
   /// Closes every socket and cancels reconnects. Idempotent; also run by
   /// the destructor. After shutdown the transport stays silent forever —
-  /// this is how LoopbackCluster crashes a node.
+  /// this is how LoopbackMesh crashes a node.
   void shutdown();
 
   /// True when the outgoing connection to `to` is established — HELLO
@@ -202,7 +204,7 @@ class TcpTransport final : public Transport {
   ProcessId self() const override { return config_.self; }
   ProcessId process_count() const override { return config_.n; }
   sim::Simulator& timers() override { return loop_.timers(); }
-  SimDuration round_length() const override { return config_.round_length; }
+  SimDuration round_length() const override { return kRoundLength; }
   void set_handler(Handler handler) override { handler_ = std::move(handler); }
   void send(ProcessId to, sim::PayloadPtr message) override;
   void broadcast(ProcessSet targets, const sim::PayloadPtr& message) override;

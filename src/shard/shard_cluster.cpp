@@ -5,61 +5,47 @@
 #include "common/assert.hpp"
 
 namespace qsel::shard {
+namespace {
+
+constexpr int kF = 1;  // every group: 4 members, one fault
+constexpr SimDuration kAdminRetry = 50'000'000;  // as RoutingClient's
+
+net::TcpTransport::Config tcp_config(std::uint64_t seed) {
+  net::TcpTransport::Config tcp;
+  tcp.auth_seed = seed;
+  return tcp;
+}
+
+}  // namespace
 
 ShardCluster::ShardCluster(ShardClusterConfig config)
     : config_(std::move(config)),
-      transports_(kTotal),
-      ports_(kTotal, 0),
+      mesh_(kTotal, tcp_config(config_.seed)),
       hosts_(kNodes) {
-  // Transports first: every listen port is known before any wiring.
-  for (ProcessId id = 0; id < kTotal; ++id) {
-    net::TcpTransport::Config tcp;
-    tcp.self = id;
-    tcp.n = kTotal;
-    tcp.auth_key = config_.auth_key;
-    tcp.auth_seed = config_.seed;
-    tcp.reconnect = config_.reconnect;
-    transports_[id] = std::make_unique<net::TcpTransport>(loop_, tcp);
-    ports_[id] = transports_[id]->listen_port();
-  }
-  for (ProcessId from = 0; from < kTotal; ++from)
-    for (ProcessId to = 0; to < kTotal; ++to)
-      if (from != to) transports_[from]->set_peer(to, ports_[to]);
-
-  for (ProcessId node = 0; node < kNodes; ++node)
-    build_node(node, ports_[node]);
+  for (ProcessId node = 0; node < kNodes; ++node) build_node(node);
 
   for (ProcessId i = 0; i < kRoutingClients; ++i) {
     RoutingClient::Config client;
     client.config_group = kConfigGroup;
     client.endpoints = client_endpoints();
     client.key_seed = config_.seed;
-    client.retry_timeout = config_.retry_timeout;
-    client.backoff_base = config_.backoff_base;
-    client.backoff_cap = config_.backoff_cap;
     client.jitter_seed = config_.seed * 1000 + i;
     clients_.push_back(std::make_unique<RoutingClient>(
-        *transports_[kNodes + i], std::move(client)));
+        mesh_.transport(kNodes + i), std::move(client)));
   }
 
   MigrationCoordinator::Config coordinator;
   coordinator.config_group = kConfigGroup;
   coordinator.endpoints = client_endpoints();
   coordinator.key_seed = config_.seed;
-  coordinator.retry_timeout = config_.retry_timeout;
   coordinator.chunk_limit = config_.chunk_limit;
   coordinator_ = std::make_unique<MigrationCoordinator>(
-      *transports_[kCoordinatorId], std::move(coordinator));
+      mesh_.transport(kCoordinatorId), std::move(coordinator));
 
   admin_ = std::make_unique<GroupEngines>(
-      *transports_[kAdminId],
-      std::vector<GroupEndpoint>{{group_spec(kConfigGroup), config_.f}},
-      config_.seed, config_.retry_timeout);
-}
-
-ShardCluster::~ShardCluster() {
-  for (auto& transport : transports_)
-    if (transport) transport->shutdown();
+      mesh_.transport(kAdminId),
+      std::vector<GroupEndpoint>{{group_spec(kConfigGroup), kF}},
+      config_.seed, kAdminRetry);
 }
 
 GroupSpec ShardCluster::group_spec(GroupId group) const {
@@ -76,21 +62,19 @@ GroupSpec ShardCluster::group_spec(GroupId group) const {
 }
 
 std::vector<GroupEndpoint> ShardCluster::client_endpoints() const {
-  return {{group_spec(kConfigGroup), config_.f},
-          {group_spec(kLowGroup), config_.f},
-          {group_spec(kHighGroup), config_.f}};
+  return {{group_spec(kConfigGroup), kF},
+          {group_spec(kLowGroup), kF},
+          {group_spec(kHighGroup), kF}};
 }
 
-void ShardCluster::build_node(ProcessId node, std::uint16_t port) {
-  (void)port;  // the transport is already bound by the caller
-  hosts_[node] = std::make_unique<GroupHost>(*transports_[node]);
+void ShardCluster::build_node(ProcessId node) {
+  hosts_[node] = std::make_unique<GroupHost>(mesh_.transport(node));
   for (const GroupId group : {kConfigGroup, kLowGroup, kHighGroup}) {
     HostedGroupConfig hosted;
     hosted.spec = group_spec(group);
-    hosted.replica.f = config_.f;
+    hosted.replica.f = kF;
     hosted.replica.policy = xpaxos::QuorumPolicy::kQuorumSelection;
-    hosted.replica.fd = config_.fd;
-    hosted.replica.view_change_retry = config_.view_change_retry;
+    hosted.replica.fd = net::kRealTimeFd;
     hosted.key_seed = config_.seed;
     hosted.store_dir = config_.store_root.empty()
                            ? std::string{}
@@ -101,14 +85,13 @@ void ShardCluster::build_node(ProcessId node, std::uint16_t port) {
         return std::make_unique<ShardMapMachine>();
       };
     } else {
-      const std::string split = config_.split;
       const bool low = group == kLowGroup;
-      hosted.app_factory = [split, low]() -> std::unique_ptr<app::StateMachine> {
+      hosted.app_factory = [low]() -> std::unique_ptr<app::StateMachine> {
         ShardKv::Config kv;
         kv.owned = low ? std::vector<std::pair<std::string, std::string>>{
-                             {"", split}}
+                             {"", kSplit}}
                        : std::vector<std::pair<std::string, std::string>>{
-                             {split, ""}};
+                             {kSplit, ""}};
         return std::make_unique<ShardKv>(std::move(kv));
       };
     }
@@ -117,24 +100,11 @@ void ShardCluster::build_node(ProcessId node, std::uint16_t port) {
 }
 
 bool ShardCluster::start(std::uint64_t timeout_ns) {
-  for (auto& transport : transports_) transport->start();
-  if (!run_until([this] { return fully_connected(); }, timeout_ns))
-    return false;
+  if (!mesh_.start(timeout_ns)) return false;
   // Bootstrap the map: the data groups already own their ranges (ShardKv
   // construction), the map must say so too.
-  if (!assign("", config_.split, kLowGroup, timeout_ns)) return false;
-  if (!assign(config_.split, "", kHighGroup, timeout_ns)) return false;
-  return true;
-}
-
-bool ShardCluster::fully_connected() const {
-  for (ProcessId from = 0; from < kTotal; ++from) {
-    if (crashed_.contains(from)) continue;
-    for (ProcessId to = 0; to < kTotal; ++to) {
-      if (to == from || crashed_.contains(to)) continue;
-      if (!transports_[from]->connected_to(to)) return false;
-    }
-  }
+  if (!assign("", kSplit, kLowGroup, timeout_ns)) return false;
+  if (!assign(kSplit, "", kHighGroup, timeout_ns)) return false;
   return true;
 }
 
@@ -168,29 +138,13 @@ bool ShardCluster::kill_group_replica(ProcessId node, GroupId group) {
 void ShardCluster::crash_node(ProcessId node) {
   QSEL_REQUIRE(node < kNodes);
   hosts_[node].reset();  // replicas die first (timers cancelled) ...
-  transports_[node]->shutdown();  // ... then the sockets close
-  crashed_.insert(node);
+  mesh_.crash(node);     // ... then the sockets close
 }
 
 void ShardCluster::restart_node(ProcessId node) {
   QSEL_REQUIRE(node < kNodes);
-  QSEL_REQUIRE_MSG(crashed_.contains(node),
-                   "restart_node() needs a prior crash_node()");
-  transports_[node].reset();
-  net::TcpTransport::Config tcp;
-  tcp.self = node;
-  tcp.n = kTotal;
-  tcp.listen_port = ports_[node];
-  tcp.auth_key = config_.auth_key;
-  tcp.auth_seed = config_.seed;
-  tcp.reconnect = config_.reconnect;
-  transports_[node] = std::make_unique<net::TcpTransport>(loop_, tcp);
-  QSEL_REQUIRE(transports_[node]->listen_port() == ports_[node]);
-  for (ProcessId to = 0; to < kTotal; ++to)
-    if (to != node) transports_[node]->set_peer(to, ports_[to]);
-  build_node(node, ports_[node]);
-  crashed_.erase(node);
-  transports_[node]->start();
+  mesh_.restart(node);
+  build_node(node);
 }
 
 bool ShardCluster::assign(const std::string& lo, const std::string& hi,

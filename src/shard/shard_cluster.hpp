@@ -7,9 +7,10 @@
 // ShardKv machines (group 1 serves [.., split), group 2 [split, ..)).
 // Ids 4..5 are routing clients, 6 the migration coordinator, 7 an admin
 // slot the harness bootstraps the map through (two ASSIGN ops). All 8
-// transports share one EventLoop, so an entire multi-process scenario is
-// a single sequential program — which is what lets the soak test run
-// under the sanitizers without any thread-interleaving noise.
+// transports form one net::LoopbackMesh on one EventLoop, so an entire
+// multi-process scenario is a single sequential program — which is what
+// lets the soak test run under the sanitizers without any
+// thread-interleaving noise.
 //
 // Per-group crypto is real: each group's KeyRegistry derives from the
 // shared seed and the group id, so the harness exercises exactly the key
@@ -23,7 +24,7 @@
 #include <vector>
 
 #include "net/event_loop.hpp"
-#include "net/tcp_transport.hpp"
+#include "net/loopback_mesh.hpp"
 #include "shard/group_host.hpp"
 #include "shard/migration.hpp"
 #include "shard/routing_client.hpp"
@@ -32,22 +33,10 @@
 namespace qsel::shard {
 
 struct ShardClusterConfig {
-  int f = 1;
   std::uint64_t seed = 1;
-  /// Group 1 serves keys below the split, group 2 the rest.
-  std::string split = "m";
-  fd::FailureDetectorConfig fd{/*initial_timeout=*/40'000'000,
-                               /*max_timeout=*/1'000'000'000,
-                               /*adaptive=*/true};
-  SimDuration view_change_retry = 30'000'000;
-  SimDuration retry_timeout = 50'000'000;
-  SimDuration backoff_base = 5'000'000;
-  SimDuration backoff_cap = 200'000'000;
   std::uint32_t chunk_limit = 8;
   /// Root for per-node durable quorum-selection state; "" = memory-only.
   std::string store_root;
-  std::vector<std::uint8_t> auth_key;
-  net::BackoffConfig reconnect{};
 };
 
 class ShardCluster {
@@ -58,21 +47,21 @@ class ShardCluster {
   static constexpr ProcessId kAdminId = 7;
   static constexpr ProcessId kTotal = 8;
   static constexpr GroupId kConfigGroup = 0;
-  static constexpr GroupId kLowGroup = 1;   // [.., split)
-  static constexpr GroupId kHighGroup = 2;  // [split, ..)
+  static constexpr GroupId kLowGroup = 1;   // [.., kSplit)
+  static constexpr GroupId kHighGroup = 2;  // [kSplit, ..)
+  static constexpr char kSplit[] = "m";
 
   explicit ShardCluster(ShardClusterConfig config);
-  ~ShardCluster();
 
   /// Starts dialing, waits for the full mesh, then commits the two
   /// bootstrap ASSIGN ops through the config group. False on timeout.
   bool start(std::uint64_t timeout_ns = 20'000'000'000);
 
-  net::EventLoop& loop() { return loop_; }
+  net::EventLoop& loop() { return mesh_.loop(); }
   bool run_until(const std::function<bool()>& pred, std::uint64_t timeout_ns) {
-    return loop_.run_until(pred, timeout_ns);
+    return loop().run_until(pred, timeout_ns);
   }
-  void run_for(std::uint64_t duration_ns) { loop_.run_for(duration_ns); }
+  void run_for(std::uint64_t duration_ns) { loop().run_for(duration_ns); }
 
   RoutingClient& client(ProcessId i);  // i < kRoutingClients
   MigrationCoordinator& coordinator() { return *coordinator_; }
@@ -99,22 +88,19 @@ class ShardCluster {
               std::uint64_t timeout_ns = 10'000'000'000);
 
   /// True when every non-crashed transport is connected to every other.
-  bool fully_connected() const;
+  bool fully_connected() const { return mesh_.fully_connected(); }
 
  private:
-  void build_node(ProcessId node, std::uint16_t port);
+  void build_node(ProcessId node);
   GroupSpec group_spec(GroupId group) const;
   std::vector<GroupEndpoint> client_endpoints() const;
 
   ShardClusterConfig config_;
-  net::EventLoop loop_;  // declared first: destroyed last
-  std::vector<std::unique_ptr<net::TcpTransport>> transports_;
-  std::vector<std::uint16_t> ports_;
+  net::LoopbackMesh mesh_;  // declared before the nodes: destroyed after
   std::vector<std::unique_ptr<GroupHost>> hosts_;  // one per node
   std::vector<std::unique_ptr<RoutingClient>> clients_;
   std::unique_ptr<MigrationCoordinator> coordinator_;
   std::unique_ptr<GroupEngines> admin_;
-  ProcessSet crashed_;
 };
 
 }  // namespace qsel::shard

@@ -22,7 +22,6 @@ f = 1
 auth_key = 00ff10ab        # hex key
 seed = 7
 heartbeat_ms = 5
-round_ms = 10
 fd_initial_ms = 20
 fd_max_ms = 500
 reconnect_base_ms = 2
@@ -42,7 +41,6 @@ TEST(ClusterConfigTest, ParsesCommentsKeysAndNodeLines) {
             (std::vector<std::uint8_t>{0x00, 0xff, 0x10, 0xab}));
   EXPECT_EQ(config.seed, 7u);
   EXPECT_EQ(config.heartbeat_period, 5 * kMs);
-  EXPECT_EQ(config.round_length, 10 * kMs);
   EXPECT_EQ(config.fd_initial_timeout, 20 * kMs);
   EXPECT_EQ(config.fd_max_timeout, 500 * kMs);
   EXPECT_EQ(config.reconnect_base, 2 * kMs);
@@ -191,6 +189,7 @@ TEST(ClusterConfigRejectTest, MalformedValues) {
   expect_rejects("n = 4\nf = 1\nwhat is this\n", "line 3",
                  "expected key = value");
   expect_rejects("n = 4\nf = 1\ncolour = blue\n", "line 3", "unknown key");
+  expect_rejects("n = 4\nf = 1\nround_ms = 20\n", "line 3", "unknown key");
   expect_rejects("n = 4\nf = 1\nauth_key = abc\n", "line 3",
                  "odd-length hex");
   expect_rejects("n = 4\nf = 1\nauth_key = zz\n", "line 3", "invalid hex");

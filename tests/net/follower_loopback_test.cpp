@@ -1,5 +1,5 @@
 // Follower Selection over real TCP: four FollowerProcesses, each on its own
-// TcpTransport, share one EventLoop. The leader p0 crashes; every survivor
+// TcpTransport of one LoopbackMesh. The leader p0 crashes; every survivor
 // must settle on the (leader, quorum) that the simulated FollowerCluster
 // reaches on the same schedule — the transport parity contract of
 // net/transport.hpp for Algorithm 2. FOLLOWERS needs FIFO links (Section
@@ -10,8 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "net/event_loop.hpp"
-#include "net/tcp_transport.hpp"
+#include "net/loopback_mesh.hpp"
 #include "runtime/follower_cluster.hpp"
 
 namespace qsel::net {
@@ -38,44 +37,24 @@ TEST(FollowerLoopbackTest, LeaderCrashMatchesSimulator) {
 
   // Substrate 2: real TCP, same logical schedule, real-time pacing
   // (heartbeats every 10 ms, 40 ms initial timeout — loopback_cluster.hpp).
-  EventLoop loop;
   const crypto::KeyRegistry keys(kN, kSeed);
-  std::vector<std::unique_ptr<TcpTransport>> transports;
-  for (ProcessId id = 0; id < kN; ++id) {
-    TcpTransport::Config tcp;
-    tcp.self = id;
-    tcp.n = kN;
-    tcp.auth_seed = kSeed;
-    transports.push_back(std::make_unique<TcpTransport>(loop, tcp));
-  }
-  for (ProcessId from = 0; from < kN; ++from)
-    for (ProcessId to = 0; to < kN; ++to)
-      if (from != to)
-        transports[from]->set_peer(to, transports[to]->listen_port());
-  const runtime::NodeProcessConfig config{
-      kN, 1, fd::FailureDetectorConfig{40 * kMs, 1'000 * kMs, true},
-      10 * kMs};
+  TcpTransport::Config tcp;
+  tcp.auth_seed = kSeed;
+  LoopbackMesh mesh(kN, tcp);
+  EventLoop& loop = mesh.loop();
+  const runtime::NodeProcessConfig config{kN, 1, kRealTimeFd, 10 * kMs};
   std::vector<std::unique_ptr<runtime::FollowerProcess>> processes;
   for (ProcessId id = 0; id < kN; ++id)
     processes.push_back(std::make_unique<runtime::FollowerProcess>(
-        *transports[id], keys, config));
+        mesh.transport(id), keys, config));
 
-  for (auto& transport : transports) transport->start();
-  ASSERT_TRUE(loop.run_until(
-      [&] {
-        for (ProcessId from = 0; from < kN; ++from)
-          for (ProcessId to = 0; to < kN; ++to)
-            if (from != to && !transports[from]->connected_to(to))
-              return false;
-        return true;
-      },
-      2'000 * kMs));
+  ASSERT_TRUE(mesh.start(2'000 * kMs));
   for (auto& process : processes) process->start();
   loop.run_for(200 * kMs);
 
   // Crash the leader: its sockets close, then the process is gone while
   // its heartbeat and FD callbacks may still sit in the loop's queue.
-  transports[0]->shutdown();
+  mesh.crash(0);
   processes[0].reset();
   const auto survivors_agree = [&] {
     for (ProcessId id = 1; id < kN; ++id)
@@ -91,7 +70,6 @@ TEST(FollowerLoopbackTest, LeaderCrashMatchesSimulator) {
     EXPECT_EQ(processes[id]->leader(), expected->first) << "p" << id;
     EXPECT_EQ(processes[id]->quorum(), expected->second) << "p" << id;
   }
-  for (auto& transport : transports) transport->shutdown();
 }
 
 }  // namespace

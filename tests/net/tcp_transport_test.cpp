@@ -15,11 +15,11 @@
 #include <unistd.h>
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "crypto/signer.hpp"
 #include "net/event_loop.hpp"
+#include "net/loopback_mesh.hpp"
 #include "runtime/heartbeat.hpp"
 #include "suspect/update_message.hpp"
 
@@ -28,24 +28,12 @@ namespace {
 
 constexpr std::uint64_t kMs = 1'000'000;
 
-/// Pumps `loop` until `pred` holds; false on timeout.
-bool pump_until(EventLoop& loop, const std::function<bool()>& pred,
-                std::uint64_t timeout_ns) {
-  const std::uint64_t deadline = loop.now_ns() + timeout_ns;
-  while (!pred()) {
-    if (loop.now_ns() >= deadline) return false;
-    loop.poll_once(kMs);
-  }
-  return true;
-}
-
 TEST(EventLoopTest, TimersFireOnRealTimeInOrder) {
   EventLoop loop;
   std::vector<int> fired;
   loop.timers().schedule_after(8 * kMs, [&] { fired.push_back(2); });
   loop.timers().schedule_after(2 * kMs, [&] { fired.push_back(1); });
-  EXPECT_TRUE(
-      pump_until(loop, [&] { return fired.size() == 2; }, 2'000 * kMs));
+  EXPECT_TRUE(loop.run_until([&] { return fired.size() == 2; }, 2'000 * kMs));
   EXPECT_EQ(fired, (std::vector<int>{1, 2}));
   EXPECT_GE(loop.now_ns(), 8 * kMs);  // 8ms of real time really elapsed
 }
@@ -57,61 +45,54 @@ TEST(EventLoopTest, RunForAdvancesClock) {
   EXPECT_GE(loop.now_ns() - before, 5 * kMs);
 }
 
-TcpTransport::Config transport_config(ProcessId self, ProcessId n,
-                                      std::uint16_t port) {
+/// A two-node mesh, a = 0 and b = 1, recording what each end receives.
+struct Pair {
+  Pair() {
+    record(0);
+    record(1);
+  }
+
+  /// Installs the recording handler on id's current transport.
+  void record(ProcessId id) {
+    auto& received = id == 0 ? received_by_a : received_by_b;
+    mesh.transport(id).set_handler(
+        [&received](ProcessId from, const sim::PayloadPtr& message) {
+          received.emplace_back(from, message);
+        });
+  }
+
+  TcpTransport& a() { return mesh.transport(0); }
+  TcpTransport& b() { return mesh.transport(1); }
+  bool run_until(const std::function<bool()>& pred, std::uint64_t timeout_ns) {
+    return mesh.loop().run_until(pred, timeout_ns);
+  }
+
+  crypto::KeyRegistry keys{2, 1};
+  std::vector<std::pair<ProcessId, sim::PayloadPtr>> received_by_a;
+  std::vector<std::pair<ProcessId, sim::PayloadPtr>> received_by_b;
+  LoopbackMesh mesh{2, {}};  // after what its handlers record into
+};
+
+/// A two-process auth-mode transport config holding `key`.
+TcpTransport::Config auth_config(ProcessId self, std::uint8_t key) {
   TcpTransport::Config config;
   config.self = self;
-  config.n = n;
-  config.listen_port = port;
+  config.n = 2;
+  config.auth_key = std::vector<std::uint8_t>(32, key);
   return config;
 }
 
-/// Two transports on one loop, wired to each other.
-struct Pair {
-  explicit Pair(EventLoop& loop, std::uint16_t port_a = 0,
-                std::uint16_t port_b = 0)
-      : keys(2, 1),
-        a(std::make_unique<TcpTransport>(loop, transport_config(0, 2, port_a))),
-        b(std::make_unique<TcpTransport>(loop, transport_config(1, 2, port_b))) {
-    wire();
-  }
-
-  void wire() {
-    a->set_peer(1, b->listen_port());
-    b->set_peer(0, a->listen_port());
-    a->set_handler([this](ProcessId from, const sim::PayloadPtr& message) {
-      received_by_a.emplace_back(from, message);
-    });
-    b->set_handler([this](ProcessId from, const sim::PayloadPtr& message) {
-      received_by_b.emplace_back(from, message);
-    });
-    a->start();
-    b->start();
-  }
-
-  crypto::KeyRegistry keys;
-  std::unique_ptr<TcpTransport> a;
-  std::unique_ptr<TcpTransport> b;
-  std::vector<std::pair<ProcessId, sim::PayloadPtr>> received_by_a;
-  std::vector<std::pair<ProcessId, sim::PayloadPtr>> received_by_b;
-};
-
 TEST(TcpTransportTest, SendsWholeMessagesBothWays) {
-  EventLoop loop;
-  Pair pair(loop);
-  ASSERT_TRUE(pump_until(
-      loop,
-      [&] { return pair.a->connected_to(1) && pair.b->connected_to(0); },
-      2'000 * kMs));
+  Pair pair;
+  ASSERT_TRUE(pair.mesh.start(2'000 * kMs));
 
   const crypto::Signer signer_a(pair.keys, 0);
   const crypto::Signer signer_b(pair.keys, 1);
-  pair.a->send(1, runtime::HeartbeatMessage::make(signer_a, 7));
-  pair.b->send(0, suspect::UpdateMessage::make(
-                      signer_b, std::vector<Epoch>{0, 3}));
+  pair.a().send(1, runtime::HeartbeatMessage::make(signer_a, 7));
+  pair.b().send(0, suspect::UpdateMessage::make(
+                       signer_b, std::vector<Epoch>{0, 3}));
 
-  ASSERT_TRUE(pump_until(
-      loop,
+  ASSERT_TRUE(pair.run_until(
       [&] {
         return pair.received_by_b.size() == 1 &&
                pair.received_by_a.size() == 1;
@@ -134,36 +115,35 @@ TEST(TcpTransportTest, SendsWholeMessagesBothWays) {
 }
 
 TEST(TcpTransportTest, SelfSendDeliversLocally) {
-  EventLoop loop;
-  Pair pair(loop);
+  Pair pair;
+  // Started but not yet connected: self-delivery must not wait for peers.
+  pair.a().start();
+  pair.b().start();
   const crypto::Signer signer(pair.keys, 0);
-  pair.a->send(0, runtime::HeartbeatMessage::make(signer, 1));
-  ASSERT_TRUE(pump_until(
-      loop, [&] { return pair.received_by_a.size() == 1; }, 1'000 * kMs));
+  pair.a().send(0, runtime::HeartbeatMessage::make(signer, 1));
+  ASSERT_TRUE(pair.run_until([&] { return pair.received_by_a.size() == 1; },
+                             1'000 * kMs));
   EXPECT_EQ(pair.received_by_a[0].first, 0u);
 }
 
 TEST(TcpTransportTest, SplitWritesReassembleIntoWholeFrames) {
-  EventLoop loop;
-  Pair pair(loop);
+  Pair pair;
   // Cap every first write syscall at one byte: the receiver must see the
   // length prefix and body dribble in across poll rounds.
-  pair.a->set_write_tamper([](ProcessId, std::size_t) {
+  pair.a().set_write_tamper([](ProcessId, std::size_t) {
     TamperPlan plan;
     plan.split_at = 1;
     return plan;
   });
-  ASSERT_TRUE(pump_until(
-      loop, [&] { return pair.a->connected_to(1); }, 2'000 * kMs));
+  ASSERT_TRUE(pair.mesh.start(2'000 * kMs));
 
   const crypto::Signer signer(pair.keys, 0);
   constexpr std::uint64_t kCount = 8;
   for (std::uint64_t seq = 0; seq < kCount; ++seq)
-    pair.a->send(1, runtime::HeartbeatMessage::make(signer, seq));
+    pair.a().send(1, runtime::HeartbeatMessage::make(signer, seq));
 
-  ASSERT_TRUE(pump_until(
-      loop, [&] { return pair.received_by_b.size() == kCount; },
-      5'000 * kMs));
+  ASSERT_TRUE(pair.run_until(
+      [&] { return pair.received_by_b.size() == kCount; }, 5'000 * kMs));
   for (std::uint64_t seq = 0; seq < kCount; ++seq) {
     const auto* heartbeat = dynamic_cast<const runtime::HeartbeatMessage*>(
         pair.received_by_b[seq].second.get());
@@ -174,26 +154,24 @@ TEST(TcpTransportTest, SplitWritesReassembleIntoWholeFrames) {
 }
 
 TEST(TcpTransportTest, DropTamperSuppressesFrames) {
-  EventLoop loop;
-  Pair pair(loop);
-  ASSERT_TRUE(pump_until(
-      loop, [&] { return pair.a->connected_to(1); }, 2'000 * kMs));
+  Pair pair;
+  ASSERT_TRUE(pair.mesh.start(2'000 * kMs));
 
-  pair.a->set_write_tamper([](ProcessId, std::size_t) {
+  pair.a().set_write_tamper([](ProcessId, std::size_t) {
     TamperPlan plan;
     plan.drop = true;
     return plan;
   });
   const crypto::Signer signer(pair.keys, 0);
-  pair.a->send(1, runtime::HeartbeatMessage::make(signer, 1));
-  loop.run_for(50 * kMs);
+  pair.a().send(1, runtime::HeartbeatMessage::make(signer, 1));
+  pair.mesh.loop().run_for(50 * kMs);
   EXPECT_TRUE(pair.received_by_b.empty());
 
   // Lifting the tamper restores delivery on the same connection.
-  pair.a->set_write_tamper({});
-  pair.a->send(1, runtime::HeartbeatMessage::make(signer, 2));
-  ASSERT_TRUE(pump_until(
-      loop, [&] { return pair.received_by_b.size() == 1; }, 2'000 * kMs));
+  pair.a().set_write_tamper({});
+  pair.a().send(1, runtime::HeartbeatMessage::make(signer, 2));
+  ASSERT_TRUE(pair.run_until([&] { return pair.received_by_b.size() == 1; },
+                             2'000 * kMs));
   const auto* heartbeat = dynamic_cast<const runtime::HeartbeatMessage*>(
       pair.received_by_b[0].second.get());
   ASSERT_NE(heartbeat, nullptr);
@@ -201,20 +179,18 @@ TEST(TcpTransportTest, DropTamperSuppressesFrames) {
 }
 
 TEST(TcpTransportTest, DuplicateTamperDeliversTwice) {
-  EventLoop loop;
-  Pair pair(loop);
-  ASSERT_TRUE(pump_until(
-      loop, [&] { return pair.a->connected_to(1); }, 2'000 * kMs));
+  Pair pair;
+  ASSERT_TRUE(pair.mesh.start(2'000 * kMs));
 
-  pair.a->set_write_tamper([](ProcessId, std::size_t) {
+  pair.a().set_write_tamper([](ProcessId, std::size_t) {
     TamperPlan plan;
     plan.duplicate = true;
     return plan;
   });
   const crypto::Signer signer(pair.keys, 0);
-  pair.a->send(1, runtime::HeartbeatMessage::make(signer, 5));
-  ASSERT_TRUE(pump_until(
-      loop, [&] { return pair.received_by_b.size() == 2; }, 2'000 * kMs));
+  pair.a().send(1, runtime::HeartbeatMessage::make(signer, 5));
+  ASSERT_TRUE(pair.run_until([&] { return pair.received_by_b.size() == 2; },
+                             2'000 * kMs));
   for (const auto& [from, message] : pair.received_by_b) {
     const auto* heartbeat =
         dynamic_cast<const runtime::HeartbeatMessage*>(message.get());
@@ -224,35 +200,28 @@ TEST(TcpTransportTest, DuplicateTamperDeliversTwice) {
 }
 
 TEST(TcpTransportTest, ReconnectsAfterPeerRestart) {
-  EventLoop loop;
-  Pair pair(loop);
-  ASSERT_TRUE(pump_until(
-      loop, [&] { return pair.a->connected_to(1); }, 2'000 * kMs));
-  const std::uint16_t port_b = pair.b->listen_port();
+  Pair pair;
+  ASSERT_TRUE(pair.mesh.start(2'000 * kMs));
+  const std::uint16_t port_b = pair.b().listen_port();
 
   // Kill b. a's outgoing connection dies; reconnects hit a dead port and
   // back off.
-  pair.b.reset();
-  ASSERT_TRUE(pump_until(
-      loop, [&] { return !pair.a->connected_to(1); }, 2'000 * kMs));
+  pair.mesh.crash(1);
+  ASSERT_TRUE(
+      pair.run_until([&] { return !pair.a().connected_to(1); }, 2'000 * kMs));
 
   // Restart b on the same port (SO_REUSEADDR): a's backoff loop must find
   // it without any help and deliver a fresh send.
-  pair.b = std::make_unique<TcpTransport>(loop,
-                                          transport_config(1, 2, port_b));
-  ASSERT_EQ(pair.b->listen_port(), port_b);
-  pair.b->set_peer(0, pair.a->listen_port());
-  pair.b->set_handler([&](ProcessId from, const sim::PayloadPtr& message) {
-    pair.received_by_b.emplace_back(from, message);
-  });
-  pair.b->start();
+  pair.mesh.restart(1);
+  ASSERT_EQ(pair.b().listen_port(), port_b);
+  pair.record(1);
 
-  ASSERT_TRUE(pump_until(
-      loop, [&] { return pair.a->connected_to(1); }, 10'000 * kMs));
+  ASSERT_TRUE(
+      pair.run_until([&] { return pair.a().connected_to(1); }, 10'000 * kMs));
   const crypto::Signer signer(pair.keys, 0);
-  pair.a->send(1, runtime::HeartbeatMessage::make(signer, 9));
-  ASSERT_TRUE(pump_until(
-      loop, [&] { return !pair.received_by_b.empty(); }, 2'000 * kMs));
+  pair.a().send(1, runtime::HeartbeatMessage::make(signer, 9));
+  ASSERT_TRUE(pair.run_until([&] { return !pair.received_by_b.empty(); },
+                             2'000 * kMs));
   const auto* heartbeat = dynamic_cast<const runtime::HeartbeatMessage*>(
       pair.received_by_b.back().second.get());
   ASSERT_NE(heartbeat, nullptr);
@@ -266,9 +235,7 @@ TEST(TcpTransportTest, ReconnectsAfterPeerRestart) {
 // blocking its legitimate reconnects.
 TEST(TcpTransportTest, KeylessDialerCannotQuarantineClaimedPeer) {
   EventLoop loop;
-  auto config = transport_config(0, 2, 0);
-  config.auth_key = std::vector<std::uint8_t>(32, 0x11);
-  TcpTransport a(loop, config);
+  TcpTransport a(loop, auth_config(0, 0x11));
 
   // Raw impostor socket: well-formed HELLO claiming id 1, then an AUTH
   // frame whose proof is garbage (the impostor has no key to compute it).
@@ -292,8 +259,7 @@ TEST(TcpTransportTest, KeylessDialerCannotQuarantineClaimedPeer) {
             static_cast<ssize_t>(sizeof(auth)));
 
   // Drain until `a` rejects the AUTH and closes (recv sees EOF).
-  ASSERT_TRUE(pump_until(
-      loop,
+  ASSERT_TRUE(loop.run_until(
       [&] {
         while (true) {
           std::uint8_t buf[256];
@@ -311,13 +277,10 @@ TEST(TcpTransportTest, KeylessDialerCannotQuarantineClaimedPeer) {
   EXPECT_EQ(a.quarantine()->strikes(1), 0u);
 
   // The honest peer 1 — never actually at fault — must connect at once.
-  auto config_b = transport_config(1, 2, 0);
-  config_b.auth_key = config.auth_key;
-  TcpTransport b(loop, config_b);
+  TcpTransport b(loop, auth_config(1, 0x11));
   b.set_peer(0, a.listen_port());
   b.start();
-  EXPECT_TRUE(pump_until(loop, [&] { return b.connected_to(0); },
-                         2'000 * kMs));
+  EXPECT_TRUE(loop.run_until([&] { return b.connected_to(0); }, 2'000 * kMs));
 }
 
 // A listener that does not hold the cluster key (here: a different key)
@@ -327,35 +290,25 @@ TEST(TcpTransportTest, KeylessDialerCannotQuarantineClaimedPeer) {
 // offenses: no identity in this exchange was ever proven.
 TEST(TcpTransportTest, DialerRejectsListenerWithoutClusterKey) {
   EventLoop loop;
-  auto config_a = transport_config(0, 2, 0);
-  config_a.auth_key = std::vector<std::uint8_t>(32, 0x11);
-  TcpTransport a(loop, config_a);
-  auto config_b = transport_config(1, 2, 0);
-  config_b.auth_key = std::vector<std::uint8_t>(32, 0x22);
-  TcpTransport b(loop, config_b);
+  TcpTransport a(loop, auth_config(0, 0x11));
+  TcpTransport b(loop, auth_config(1, 0x22));
   a.set_peer(1, b.listen_port());
   a.start();
 
   // The proof check is deterministic, so "never connected" is a sound
   // negative assert: every handshake attempt fails before authenticated.
-  EXPECT_FALSE(pump_until(loop, [&] { return a.connected_to(1); },
-                          300 * kMs));
+  EXPECT_FALSE(loop.run_until([&] { return a.connected_to(1); }, 300 * kMs));
   EXPECT_EQ(a.quarantine()->offenses_total(), 0u);
   EXPECT_EQ(b.quarantine()->offenses_total(), 0u);
 }
 
 TEST(TcpTransportTest, BroadcastSkipsOnlyAbsentPeers) {
-  EventLoop loop;
-  Pair pair(loop);
-  ASSERT_TRUE(pump_until(
-      loop,
-      [&] { return pair.a->connected_to(1) && pair.b->connected_to(0); },
-      2'000 * kMs));
+  Pair pair;
+  ASSERT_TRUE(pair.mesh.start(2'000 * kMs));
   const crypto::Signer signer(pair.keys, 0);
-  pair.a->broadcast(ProcessSet{0, 1},
-                    runtime::HeartbeatMessage::make(signer, 3));
-  ASSERT_TRUE(pump_until(
-      loop,
+  pair.a().broadcast(ProcessSet{0, 1},
+                     runtime::HeartbeatMessage::make(signer, 3));
+  ASSERT_TRUE(pair.run_until(
       [&] {
         return pair.received_by_a.size() == 1 &&
                pair.received_by_b.size() == 1;
@@ -364,26 +317,21 @@ TEST(TcpTransportTest, BroadcastSkipsOnlyAbsentPeers) {
 }
 
 TEST(TcpTransportTest, BurstOfFramesCoalescesIntoFewWritevCalls) {
-  EventLoop loop;
-  Pair pair(loop);
-  ASSERT_TRUE(pump_until(
-      loop,
-      [&] { return pair.a->connected_to(1) && pair.b->connected_to(0); },
-      2'000 * kMs));
+  Pair pair;
+  ASSERT_TRUE(pair.mesh.start(2'000 * kMs));
 
   const crypto::Signer signer(pair.keys, 0);
-  const IoStats before = pair.a->io_stats();
+  const IoStats before = pair.a().io_stats();
 
   // All 32 sends land in one poll round, so the deferred flush must gather
   // them: one (or at worst a handful of) sendmsg calls, not one per frame.
   constexpr std::uint64_t kBurst = 32;
   for (std::uint64_t seq = 0; seq < kBurst; ++seq)
-    pair.a->send(1, runtime::HeartbeatMessage::make(signer, seq));
-  ASSERT_TRUE(pump_until(
-      loop, [&] { return pair.received_by_b.size() == kBurst; },
-      5'000 * kMs));
+    pair.a().send(1, runtime::HeartbeatMessage::make(signer, seq));
+  ASSERT_TRUE(pair.run_until(
+      [&] { return pair.received_by_b.size() == kBurst; }, 5'000 * kMs));
 
-  const IoStats after = pair.a->io_stats();
+  const IoStats after = pair.a().io_stats();
   EXPECT_EQ(after.frames_sent - before.frames_sent, kBurst);
   EXPECT_LT(after.writev_calls - before.writev_calls, kBurst / 2)
       << "a same-round burst must not pay one syscall per frame";
@@ -391,7 +339,7 @@ TEST(TcpTransportTest, BurstOfFramesCoalescesIntoFewWritevCalls) {
 
   // The receiver counts every frame exactly once despite the batched
   // arrival (multiple frames drained per poll wakeup).
-  const IoStats b_stats = pair.b->io_stats();
+  const IoStats b_stats = pair.b().io_stats();
   EXPECT_GE(b_stats.frames_received, kBurst);
   EXPECT_GE(b_stats.bytes_received, after.bytes_sent - before.bytes_sent);
 
@@ -408,24 +356,20 @@ TEST(TcpTransportTest, BatchedSplitWritesStillReassemble) {
   // The split tamper caps one batched write mid-frame; the remainder must
   // go out on the next flush and every frame still arrives whole, in
   // order.
-  EventLoop loop;
-  Pair pair(loop);
-  ASSERT_TRUE(pump_until(
-      loop,
-      [&] { return pair.a->connected_to(1) && pair.b->connected_to(0); },
-      2'000 * kMs));
+  Pair pair;
+  ASSERT_TRUE(pair.mesh.start(2'000 * kMs));
 
   const crypto::Signer signer(pair.keys, 0);
   int frame_index = 0;
-  pair.a->set_write_tamper([&](ProcessId, std::size_t) {
+  pair.a().set_write_tamper([&](ProcessId, std::size_t) {
     TamperPlan plan;
     if (frame_index++ == 1) plan.split_at = 3;  // cap mid-way into frame 1
     return plan;
   });
   for (std::uint64_t seq = 0; seq < 4; ++seq)
-    pair.a->send(1, runtime::HeartbeatMessage::make(signer, seq));
-  ASSERT_TRUE(pump_until(
-      loop, [&] { return pair.received_by_b.size() == 4; }, 5'000 * kMs));
+    pair.a().send(1, runtime::HeartbeatMessage::make(signer, seq));
+  ASSERT_TRUE(pair.run_until([&] { return pair.received_by_b.size() == 4; },
+                             5'000 * kMs));
   for (std::uint64_t seq = 0; seq < 4; ++seq) {
     const auto* heartbeat = dynamic_cast<const runtime::HeartbeatMessage*>(
         pair.received_by_b[seq].second.get());

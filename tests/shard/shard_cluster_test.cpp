@@ -119,7 +119,7 @@ TEST(ShardClusterTest, LiveMigrationUnderLoadLosesNoAcknowledgedOp) {
   bool migrated = false;
   cluster.coordinator().move_range(
       /*migration_id=*/1, ShardCluster::kLowGroup, ShardCluster::kHighGroup,
-      "", config.split, [&](const MigrationCoordinator::Result& r) {
+      "", ShardCluster::kSplit, [&](const MigrationCoordinator::Result& r) {
         result = r;
         migrated = true;
       });

@@ -138,7 +138,7 @@ TEST(ShardSoakTest, MigrationSurvivesNodeKillAndRestartUnderLoad) {
   bool migrated = false;
   cluster.coordinator().move_range(
       /*migration_id=*/1, ShardCluster::kLowGroup, ShardCluster::kHighGroup,
-      "", config.split, [&](const MigrationCoordinator::Result& r) {
+      "", ShardCluster::kSplit, [&](const MigrationCoordinator::Result& r) {
         result = r;
         migrated = true;
       });

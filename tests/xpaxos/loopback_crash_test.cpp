@@ -14,8 +14,7 @@
 #include <vector>
 
 #include "app/workload.hpp"
-#include "net/event_loop.hpp"
-#include "net/tcp_transport.hpp"
+#include "net/loopback_mesh.hpp"
 #include "smr/client.hpp"
 #include "xpaxos/replica.hpp"
 
@@ -31,45 +30,23 @@ constexpr std::uint64_t kSecond = 1'000'000'000;
 TEST(XpaxosLoopbackCrashTest, LeaderCrashAfterLongUptimeLosesNoAckedOp) {
   constexpr std::uint64_t kSeed = 5;
   constexpr ProcessId kTotal = kReplicas + 1;
-  net::EventLoop loop;
   const crypto::KeyRegistry keys(kTotal, kSeed);
-  std::vector<std::unique_ptr<net::TcpTransport>> transports;
-  for (ProcessId id = 0; id < kTotal; ++id) {
-    net::TcpTransport::Config tcp;
-    tcp.self = id;
-    tcp.n = kTotal;
-    tcp.auth_seed = kSeed;
-    transports.push_back(std::make_unique<net::TcpTransport>(loop, tcp));
-  }
-  for (ProcessId from = 0; from < kTotal; ++from)
-    for (ProcessId to = 0; to < kTotal; ++to)
-      if (from != to)
-        transports[from]->set_peer(to, transports[to]->listen_port());
+  net::TcpTransport::Config tcp;
+  tcp.auth_seed = kSeed;
+  net::LoopbackMesh mesh(kTotal, tcp);
+  net::EventLoop& loop = mesh.loop();
 
-  // Real-time failure-detector pacing, as load::run_loopback sets it.
   ReplicaConfig config;
-  config.fd = fd::FailureDetectorConfig{/*initial_timeout=*/40'000'000,
-                                        /*max_timeout=*/1'000'000'000,
-                                        /*adaptive=*/true};
+  config.fd = net::kRealTimeFd;
   std::vector<std::unique_ptr<Replica>> replicas;
   for (ProcessId id = 0; id < kReplicas; ++id)
     replicas.push_back(
-        std::make_unique<Replica>(*transports[id], keys, config));
+        std::make_unique<Replica>(mesh.transport(id), keys, config));
   smr::RequestEngine engine(
-      *transports[kClient], keys,
+      mesh.transport(kClient), keys,
       smr::RequestEngineConfig{kReplicas, 1, {}, 50'000'000});
   app::Workload workload(app::WorkloadConfig{});
-
-  for (auto& transport : transports) transport->start();
-  ASSERT_TRUE(loop.run_until(
-      [&] {
-        for (ProcessId from = 0; from < kTotal; ++from)
-          for (ProcessId to = 0; to < kTotal; ++to)
-            if (from != to && !transports[from]->connected_to(to))
-              return false;
-        return true;
-      },
-      10 * kSecond));
+  ASSERT_TRUE(mesh.start(10 * kSecond));
 
   std::set<std::uint64_t> acked;
   bool submitting = true;
@@ -88,7 +65,7 @@ TEST(XpaxosLoopbackCrashTest, LeaderCrashAfterLongUptimeLosesNoAckedOp) {
 
   const ProcessId crashed = replicas[1]->leader();
   replicas[crashed].reset();
-  transports[crashed]->shutdown();
+  mesh.crash(crashed);
   const auto live = [&] {
     std::vector<const Replica*> out;
     for (const auto& replica : replicas)
@@ -142,9 +119,6 @@ TEST(XpaxosLoopbackCrashTest, LeaderCrashAfterLongUptimeLosesNoAckedOp) {
     EXPECT_LE(r->retained_log_slots(),
               Replica::kCheckpointInterval + 2 * config.pipeline_window);
   }
-
-  replicas.clear();  // protocol first: timers cancelled before sockets die
-  for (auto& transport : transports) transport->shutdown();
 }
 
 }  // namespace

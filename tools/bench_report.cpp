@@ -51,8 +51,7 @@
 #include "crypto/signer.hpp"
 #include "graph/independent_set.hpp"
 #include "load/driver.hpp"
-#include "net/event_loop.hpp"
-#include "net/tcp_transport.hpp"
+#include "net/loopback_mesh.hpp"
 #include "net/wire.hpp"
 #include "qs/quorum_selector.hpp"
 #include "runtime/heartbeat.hpp"
@@ -322,28 +321,14 @@ struct BlastResult {
 };
 
 BlastResult tcp_blast(double window_seconds) {
-  net::EventLoop loop;
   crypto::KeyRegistry keys(2, 1);
-
-  net::TcpTransport::Config config_a;
-  config_a.self = 0;
-  config_a.n = 2;
-  net::TcpTransport::Config config_b = config_a;
-  config_b.self = 1;
-  net::TcpTransport a(loop, config_a);
-  net::TcpTransport b(loop, config_b);
-  a.set_peer(1, b.listen_port());
-  b.set_peer(0, a.listen_port());
-
   std::uint64_t received = 0;
+  net::LoopbackMesh mesh(2, {});
+  net::TcpTransport& a = mesh.transport(0);
   a.set_handler([](ProcessId, const sim::PayloadPtr&) {});
-  b.set_handler([&](ProcessId, const sim::PayloadPtr&) { ++received; });
-  a.start();
-  b.start();
-  const auto connect_deadline = Clock::now() + std::chrono::seconds(5);
-  while (!a.connected_to(1) && Clock::now() < connect_deadline)
-    loop.poll_once(1'000'000);
-  if (!a.connected_to(1)) return {};
+  mesh.transport(1).set_handler(
+      [&](ProcessId, const sim::PayloadPtr&) { ++received; });
+  if (!mesh.start(5'000'000'000)) return {};
 
   const crypto::Signer signer(keys, 0);
   constexpr int kBurst = 64;  // one EventLoop round's worth per iteration
@@ -352,11 +337,10 @@ BlastResult tcp_blast(double window_seconds) {
   while (seconds_since(start) < window_seconds) {
     for (int i = 0; i < kBurst; ++i)
       a.send(1, runtime::HeartbeatMessage::make(signer, seq++));
-    loop.poll_once(0);  // flush the batch, drain what's readable
+    mesh.loop().poll_once(0);  // flush the batch, drain what's readable
   }
   // Drain the tail so frames_received matches frames_sent.
-  const auto drain_deadline = Clock::now() + std::chrono::seconds(5);
-  while (received < seq && Clock::now() < drain_deadline) loop.poll_once(1'000'000);
+  mesh.loop().run_until([&] { return received >= seq; }, 5'000'000'000);
 
   const double elapsed = seconds_since(start);
   const net::IoStats stats = a.io_stats();

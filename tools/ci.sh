@@ -7,11 +7,14 @@
 #      suite, including the `long`-labelled scenario soak;
 #   3. loopback integration, sanitized: the real-TCP tests (EventLoop,
 #      TcpTransport, the 7-node tampered LoopbackCluster scenarios, the
-#      simulator/TCP parity check and Follower Selection over TCP) re-run
-#      as an explicitly named gate — socket and reconnect paths must be
-#      clean under ASan/UBSan, not just under virtual time — plus the
-#      long-labelled XPaxos leader crash after 15,000 slots over TCP (the
-#      view change must complete with zero acked-op loss);
+#      simulator/TCP parity check, Follower Selection over TCP, the
+#      sharded ShardCluster and the load driver's run_loopback — every
+#      harness on the one LoopbackMesh, whose crash/restart and teardown
+#      order this gate checks) re-run as an explicitly named gate — socket
+#      and reconnect paths must be clean under ASan/UBSan, not just under
+#      virtual time — plus the long-labelled XPaxos leader crash after
+#      15,000 slots over TCP (the view change must complete with zero
+#      acked-op loss);
 #   4. fuzz smoke: randomized fault schedules per protocol through
 #      tools/qsel_fuzz on the sanitized binary, so memory bugs on fuzz
 #      paths surface here and not in the nightly campaign. The generator's
@@ -84,7 +87,7 @@ cmake --build build-asan -j"$JOBS"
 (cd build-asan && ctest --output-on-failure -j"$JOBS")
 
 echo "== [3/12] loopback integration (real TCP, sanitized) =="
-(cd build-asan && ctest -L tier1 -R "EventLoopTest|TcpTransportTest|LoopbackClusterTest|LoopbackResilienceTest|FollowerLoopbackTest|WireTest" \
+(cd build-asan && ctest -L tier1 -R "EventLoopTest|TcpTransportTest|LoopbackClusterTest|LoopbackResilienceTest|FollowerLoopbackTest|WireTest|ShardClusterTest|LoadLoopbackTest" \
   --output-on-failure)
 (cd build-asan && ctest -R "XpaxosLoopbackCrashTest" --output-on-failure)
 
