@@ -1,11 +1,11 @@
 #include "crypto/hmac.hpp"
 
+#include <algorithm>
 #include <array>
 
 namespace qsel::crypto {
 
-Digest hmac_sha256(std::span<const std::uint8_t> key,
-                   std::span<const std::uint8_t> message) {
+HmacKey::HmacKey(std::span<const std::uint8_t> key) {
   constexpr std::size_t kBlockSize = 64;
   std::array<std::uint8_t, kBlockSize> key_block{};
   if (key.size() > kBlockSize) {
@@ -21,16 +21,24 @@ Digest hmac_sha256(std::span<const std::uint8_t> key,
     ipad[i] = static_cast<std::uint8_t>(key_block[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(key_block[i] ^ 0x5c);
   }
+  inner_.update(ipad);
+  outer_.update(opad);
+}
 
-  Sha256 inner;
-  inner.update(ipad);
+Digest HmacKey::mac(std::span<const std::uint8_t> message) const {
+  ++hash_counters.hmacs;
+  Sha256 inner = inner_;
   inner.update(message);
   const Digest inner_digest = inner.finish();
 
-  Sha256 outer;
-  outer.update(opad);
+  Sha256 outer = outer_;
   outer.update(inner_digest.bytes);
   return outer.finish();
+}
+
+Digest hmac_sha256(std::span<const std::uint8_t> key,
+                   std::span<const std::uint8_t> message) {
+  return HmacKey(key).mac(message);
 }
 
 }  // namespace qsel::crypto

@@ -13,6 +13,22 @@
 
 namespace qsel::crypto {
 
+/// An HMAC-SHA256 key with its two key-only blocks already compressed:
+/// `inner_` has absorbed key ^ ipad and `outer_` key ^ opad. Each mac()
+/// copies them and finishes, saving the two compressions a from-scratch
+/// HMAC spends on those blocks; the tags are the RFC 2104 bytes.
+class HmacKey {
+ public:
+  explicit HmacKey(std::span<const std::uint8_t> key);
+
+  Digest mac(std::span<const std::uint8_t> message) const;
+
+ private:
+  Sha256 inner_;
+  Sha256 outer_;
+};
+
+/// One-shot HMAC: HmacKey(key).mac(message).
 Digest hmac_sha256(std::span<const std::uint8_t> key,
                    std::span<const std::uint8_t> message);
 

@@ -4,6 +4,11 @@
 // messages carry a hash of the client request, Section V-A) and as the
 // compression core of HMAC-based simulated signatures. Implemented from
 // the specification; test vectors in tests/crypto/sha256_test.cpp.
+//
+// The block compression runs on the x86 SHA extensions when the CPU has
+// them and on portable scalar code otherwise, chosen once per process
+// from the CPU's feature bits (crypto/sha256_compress.hpp). Both produce
+// the same bytes; the scalar function is the tests' oracle.
 #pragma once
 
 #include <array>
@@ -40,8 +45,6 @@ class Sha256 {
   Digest finish();
 
  private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;
@@ -50,5 +53,14 @@ class Sha256 {
 
 /// One-shot convenience.
 Digest sha256(std::span<const std::uint8_t> data);
+
+/// Hashing work done by this process, for attribution (BENCH_9). Plain
+/// integers: the code base starts no threads. Read deltas around the
+/// work of interest.
+struct HashCounters {
+  std::uint64_t compressions = 0;  // SHA-256 blocks compressed
+  std::uint64_t hmacs = 0;         // HMAC-SHA256 tags computed
+};
+extern HashCounters hash_counters;
 
 }  // namespace qsel::crypto

@@ -2,7 +2,6 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "crypto/hmac.hpp"
 
 namespace qsel::crypto {
 
@@ -22,13 +21,20 @@ KeyRegistry::KeyRegistry(ProcessId n, std::uint64_t seed) {
 Signature KeyRegistry::sign(ProcessId signer,
                             std::span<const std::uint8_t> message) const {
   QSEL_REQUIRE(signer < keys_.size());
-  return Signature{hmac_sha256(keys_[signer], message), signer};
+  return Signature{mac_key(signer).mac(message), signer};
 }
 
 bool KeyRegistry::verify(std::span<const std::uint8_t> message,
                          const Signature& sig) const {
   if (sig.signer >= keys_.size()) return false;
-  return hmac_sha256(keys_[sig.signer], message) == sig.tag;
+  return mac_key(sig.signer).mac(message) == sig.tag;
+}
+
+const HmacKey& KeyRegistry::mac_key(ProcessId id) const {
+  if (mac_keys_.empty()) mac_keys_.resize(keys_.size());
+  std::optional<HmacKey>& key = mac_keys_[id];
+  if (!key) key.emplace(keys_[id]);
+  return *key;
 }
 
 }  // namespace qsel::crypto

@@ -13,10 +13,12 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/types.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 
 namespace qsel::crypto {
@@ -30,6 +32,12 @@ struct Signature {
 
 /// Holds every process's signing key; created once per simulation from a
 /// seed. Distributing only private handles (Signer) mirrors a PKI.
+///
+/// Each key's HMAC midstates are built on its first sign or verify, and
+/// their table on the first of all, never in the constructor: a cluster
+/// build hashes and allocates nothing more for them. That cache is mutated
+/// through const calls, so a registry is not thread-safe (the code base
+/// starts no threads). Copies carry whatever midstates are built.
 class KeyRegistry {
  public:
   KeyRegistry(ProcessId n, std::uint64_t seed);
@@ -48,7 +56,12 @@ class KeyRegistry {
               const Signature& sig) const;
 
  private:
+  /// Process `id`'s midstates, built on first use.
+  const HmacKey& mac_key(ProcessId id) const;
+
   std::vector<std::array<std::uint8_t, 32>> keys_;
+  /// Parallel to keys_ once the first key is used; empty before.
+  mutable std::vector<std::optional<HmacKey>> mac_keys_;
 };
 
 /// A process's own signing capability: wraps the registry but fixes the

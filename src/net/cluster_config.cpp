@@ -300,47 +300,4 @@ ClusterConfig ClusterConfig::load(const std::string& path) {
   return parse(text.str());
 }
 
-std::string ClusterConfig::to_text() const {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::ostringstream out;
-  out << "n = " << static_cast<unsigned>(n) << "\n";
-  out << "f = " << f << "\n";
-  if (!auth_key.empty()) {
-    out << "auth_key = ";
-    for (std::uint8_t byte : auth_key)
-      out << kHex[byte >> 4] << kHex[byte & 0xf];
-    out << "\n";
-  }
-  out << "seed = " << seed << "\n";
-  out << "heartbeat_ms = " << heartbeat_period / 1'000'000 << "\n";
-  out << "fd_initial_ms = " << fd_initial_timeout / 1'000'000 << "\n";
-  out << "fd_max_ms = " << fd_max_timeout / 1'000'000 << "\n";
-  out << "reconnect_base_ms = " << reconnect_base / 1'000'000 << "\n";
-  out << "reconnect_cap_ms = " << reconnect_cap / 1'000'000 << "\n";
-  if (!store_dir.empty()) out << "store_dir = " << store_dir << "\n";
-  for (ProcessId id = 0; id < n; ++id)
-    out << "node " << static_cast<unsigned>(id) << " = " << nodes[id].host
-        << ":" << nodes[id].port << "\n";
-  for (const GroupConfig& group : groups) {
-    out << "[group " << group.id << "]\n";
-    if (group.is_config) out << "kind = config\n";
-    if (group.f > 0) out << "f = " << group.f << "\n";
-    out << "members = ";
-    for (std::size_t i = 0; i < group.members.size(); ++i)
-      out << (i > 0 ? "," : "") << static_cast<unsigned>(group.members[i]);
-    out << "\n";
-    if (!group.clients.empty()) {
-      out << "clients = ";
-      for (std::size_t i = 0; i < group.clients.size(); ++i)
-        out << (i > 0 ? "," : "") << static_cast<unsigned>(group.clients[i]);
-      out << "\n";
-    }
-    for (const GroupRange& range : group.ranges)
-      out << "range = " << range.lo << ".." << range.hi << "\n";
-    if (!group.store_subdir.empty())
-      out << "store_subdir = " << group.store_subdir << "\n";
-  }
-  return out.str();
-}
-
 }  // namespace qsel::net

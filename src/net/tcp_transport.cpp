@@ -386,8 +386,7 @@ void TcpTransport::enqueue_shared(ProcessId to, const SharedFrame& framed,
     // this connection's frame key, so it rides as a small owned tail.
     const std::span<const std::uint8_t> body(framed->data() + 4,
                                              framed->size() - 4);
-    const crypto::Digest mac =
-        crypto::hmac_sha256(conn->frame_key.bytes, body);
+    const crypto::Digest mac = conn->frame_key->mac(body);
     std::vector<std::uint8_t> tail = acquire_buffer();
     tail.insert(tail.end(), mac.bytes.begin(), mac.bytes.begin() + kMacBytes);
     conn->out_total += tail.size();
@@ -421,8 +420,7 @@ void TcpTransport::enqueue_frame(ProcessId to,
   frame.push_back(static_cast<std::uint8_t>((len >> 24) & 0xff));
   frame.insert(frame.end(), body.begin(), body.end());
   if (auth_enabled()) {
-    const crypto::Digest mac =
-        crypto::hmac_sha256(conn->frame_key.bytes, body);
+    const crypto::Digest mac = conn->frame_key->mac(body);
     frame.insert(frame.end(), mac.bytes.begin(),
                  mac.bytes.begin() + kMacBytes);
   }
@@ -785,8 +783,7 @@ bool TcpTransport::handle_frame(Connection* conn,
   std::span<const std::uint8_t> payload = body;
   if (auth_enabled()) {
     const bool long_enough = body.size() >= kMacBytes + 1;
-    const crypto::Digest expect = crypto::hmac_sha256(
-        conn->frame_key.bytes,
+    const crypto::Digest expect = conn->frame_key->mac(
         long_enough ? body.first(body.size() - kMacBytes) : body);
     if (!long_enough ||
         !mac_equal(body.last(kMacBytes),
@@ -848,7 +845,8 @@ bool TcpTransport::handle_hello(Connection* conn,
   conn->server_nonce = os_nonce64();
   conn->session_key = derive_session_key(claimed, config_.self, client_nonce,
                                          conn->server_nonce);
-  conn->frame_key = keyed_tag(conn->session_key, kFrameKeyDomain);
+  conn->frame_key.emplace(
+      keyed_tag(conn->session_key, kFrameKeyDomain).bytes);
   conn->awaiting_auth = true;
   // CHALLENGE carries the acceptor's own proof of key possession over the
   // freshly derived session key (both nonces, both identities), so the
@@ -881,7 +879,8 @@ bool TcpTransport::handle_challenge(Connection* conn,
   conn->session_key = derive_session_key(config_.self, conn->peer,
                                          conn->client_nonce,
                                          conn->server_nonce);
-  conn->frame_key = keyed_tag(conn->session_key, kFrameKeyDomain);
+  conn->frame_key.emplace(
+      keyed_tag(conn->session_key, kFrameKeyDomain).bytes);
   const crypto::Digest server_proof =
       keyed_tag(conn->session_key, kChallengeProofDomain);
   if (!mac_equal(body.subspan(1 + 8), server_proof.bytes)) {

@@ -80,10 +80,12 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "net/backoff.hpp"
 #include "net/event_loop.hpp"
@@ -241,7 +243,7 @@ class TcpTransport final : public Transport {
     std::uint64_t client_nonce = 0;
     std::uint64_t server_nonce = 0;
     crypto::Digest session_key{};  // proves the handshake
-    crypto::Digest frame_key{};    // MACs message bodies
+    std::optional<crypto::HmacKey> frame_key;  // MACs bodies; set by handshake
     std::vector<std::uint8_t> inbuf;
     /// Outbound chunks awaiting the deferred flush, FIFO. Owned buffers
     /// come from (and return to) the transport's frame pool, so

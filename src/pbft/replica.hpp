@@ -29,6 +29,7 @@
 #include "pbft/messages.hpp"
 #include "net/transport.hpp"
 #include "smr/client_messages.hpp"
+#include "smr/executed_log.hpp"
 
 namespace qsel::pbft {
 
@@ -77,7 +78,7 @@ class Replica final {
   std::uint64_t requests_executed() const { return requests_executed_; }
 
   /// Executed history, for cross-replica consistency checks.
-  const std::vector<smr::ExecutedEntry>& executed_history() const {
+  const smr::ExecutedLog& executed_history() const {
     return executed_history_;
   }
 
@@ -118,7 +119,7 @@ class Replica final {
   SeqNum next_slot_ = 1;
   SeqNum last_executed_ = 0;
   std::uint64_t requests_executed_ = 0;
-  std::vector<smr::ExecutedEntry> executed_history_;
+  smr::ExecutedLog executed_history_;
 
   std::map<std::pair<std::uint32_t, std::uint64_t>, SeqNum> client_index_;
   std::map<std::pair<std::uint32_t, std::uint64_t>, std::string> results_;

@@ -21,6 +21,7 @@
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "smr/client.hpp"
+#include "smr/executed_log.hpp"
 #include "trace/tracer.hpp"
 
 namespace qsel::runtime {
@@ -144,16 +145,15 @@ class SmrCluster {
 
  private:
   /// Both histories are in slot order; compares the slots both executed.
-  static bool same_slots(const std::vector<smr::ExecutedEntry>& ha,
-                         const std::vector<smr::ExecutedEntry>& hb) {
+  static bool same_slots(const smr::ExecutedLog& ha,
+                         const smr::ExecutedLog& hb) {
     if (ha.empty() || hb.empty()) return true;
     const SeqNum lo = std::max(ha.front().slot, hb.front().slot);
     const SeqNum hi = std::min(ha.back().slot, hb.back().slot);
-    const auto before = [](const smr::ExecutedEntry& e, SeqNum slot) {
-      return e.slot < slot;
-    };
-    auto a = std::lower_bound(ha.begin(), ha.end(), lo, before);
-    auto b = std::lower_bound(hb.begin(), hb.end(), lo, before);
+    auto a = ha.begin();
+    auto b = hb.begin();
+    while (a != ha.end() && a->slot < lo) ++a;
+    while (b != hb.end() && b->slot < lo) ++b;
     for (; a != ha.end() && a->slot <= hi; ++a, ++b)
       if (b == hb.end() || *a != *b) return false;
     return b == hb.end() || b->slot > hi;

@@ -69,9 +69,7 @@ void Replica::on_message(ProcessId from, const sim::PayloadPtr& message) {
     handle_request(request);
   } else if (auto prepare =
                  std::dynamic_pointer_cast<const PrepareMessage>(message)) {
-    if (!prepare->verify(signer_, config_.n,
-                         view_map_.leader_of(prepare->view)))
-      return;
+    if (!leader_signed(*prepare)) return;
     fd().on_receive(prepare->sig.signer, message);
     handle_prepare(*prepare, /*via_commit=*/false);
   } else if (auto commit =
@@ -228,7 +226,6 @@ void Replica::handle_prepare(const PrepareMessage& prepare, bool via_commit) {
     buffered_protocol_.push_back(std::make_shared<PrepareMessage>(prepare));
     return;
   }
-  QSEL_ASSERT(prepare.verify(signer_, config_.n, leader()));
   if (prepare.slot <= log_floor()) {
     // A certificate covers this slot: its state is in a snapshot, so it is
     // not logged. A NEWVIEW can still re-propose it (its base is the
@@ -282,6 +279,17 @@ void Replica::handle_prepare(const PrepareMessage& prepare, bool via_commit) {
   try_execute();
 }
 
+bool Replica::leader_signed(const PrepareMessage& prepare) const {
+  if (prepare.view == view_) {
+    const auto it = log_.find(prepare.slot);
+    if (it != log_.end() && it->second.prepare &&
+        it->second.prepare->sig == prepare.sig &&
+        it->second.prepare->same_proposal(prepare))
+      return true;  // the same signed bytes and signer, checked when logged
+  }
+  return prepare.verify(signer_, config_.n, view_map_.leader_of(prepare.view));
+}
+
 void Replica::handle_commit(const std::shared_ptr<const CommitMessage>& commit) {
   if (!commit->verify_sender(signer_, config_.n)) return;
   fd().on_receive(commit->sender, commit);
@@ -295,7 +303,7 @@ void Replica::handle_commit(const std::shared_ptr<const CommitMessage>& commit) 
 
   // Second subtlety: the embedded PREPARE must be a valid leader proposal;
   // otherwise the commit is malformed and its *sender* is detected.
-  if (!commit->prepare.verify(signer_, config_.n, leader())) {
+  if (!leader_signed(commit->prepare)) {
     QSEL_LOG(kInfo, "xpaxos") << "p" << self()
                               << " detected malformed COMMIT from p"
                               << commit->sender;

@@ -63,6 +63,7 @@
 #include "net/transport.hpp"
 #include "qs/quorum_selector.hpp"
 #include "runtime/selection_plane.hpp"
+#include "smr/executed_log.hpp"
 #include "store/node_store.hpp"
 #include "xpaxos/messages.hpp"
 #include "xpaxos/view_map.hpp"
@@ -143,7 +144,7 @@ class Replica final {
   /// Executed history, for cross-replica consistency checks. A replica
   /// that installed a checkpoint by state transfer holds only the slots
   /// executed after it, so compare histories by slot.
-  const std::vector<smr::ExecutedEntry>& executed_history() const {
+  const smr::ExecutedLog& executed_history() const {
     return executed_history_;
   }
 
@@ -167,7 +168,16 @@ class Replica final {
   /// Drains pending_requests_ into PREPARE batches while the pipeline
   /// window has room. Re-entrancy-safe (a no-op while already pumping).
   void pump_proposals();
+  /// Precondition: `prepare` carries a valid signature by the leader of
+  /// its view, so it is not checked again here. on_message and
+  /// handle_commit establish it with leader_signed(), handle_newview by
+  /// verifying each re-proposal, the buffered replay at receipt, and
+  /// propose_batch by signing.
   void handle_prepare(const PrepareMessage& prepare, bool via_commit);
+  /// True when `prepare` is signed by the leader of its view. A PREPARE of
+  /// the current view equal, proposal and signature, to the one logged for
+  /// its slot was checked when it was logged: no HMAC (DESIGN.md §17).
+  bool leader_signed(const PrepareMessage& prepare) const;
   void handle_commit(const std::shared_ptr<const CommitMessage>& commit);
   void handle_viewchange(const std::shared_ptr<const ViewChangeMessage>& msg);
   void handle_newview(const std::shared_ptr<const NewViewMessage>& msg);
@@ -231,7 +241,7 @@ class Replica final {
   SeqNum next_slot_ = 1;  // leader only
   SeqNum last_executed_ = 0;
   std::uint64_t requests_executed_ = 0;
-  std::vector<smr::ExecutedEntry> executed_history_;
+  smr::ExecutedLog executed_history_;
 
   /// (client, client_seq) -> slot of a prepared, unexecuted request, for
   /// duplicate suppression; erased when the request executes.

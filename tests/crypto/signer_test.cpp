@@ -60,6 +60,24 @@ TEST(SignerTest, DeterministicAcrossRegistryCopies) {
   const auto msg = bytes_of("m");
   EXPECT_EQ(a.sign(2, msg).tag, b.sign(2, msg).tag);
   EXPECT_TRUE(b.verify(msg, a.sign(2, msg)));
+
+  // A key's midstates are built on its first use: tags are the same
+  // before and after, whether that use is a sign or a verify.
+  const KeyRegistry fresh(3, 7);
+  const Signature first = fresh.sign(1, msg);
+  EXPECT_EQ(fresh.sign(1, msg), first);
+  EXPECT_EQ(a.sign(1, msg), first);
+  const KeyRegistry verify_first(3, 7);
+  EXPECT_TRUE(verify_first.verify(msg, first));
+  EXPECT_EQ(verify_first.sign(1, msg), first);
+
+  // Copies of a partly built registry (keys 1 and 2 built, 0 not) sign
+  // and verify like the original, on built and unbuilt keys alike.
+  const KeyRegistry copy = a;
+  for (ProcessId id = 0; id < 3; ++id) {
+    EXPECT_EQ(copy.sign(id, msg), b.sign(id, msg)) << "key " << id;
+    EXPECT_TRUE(copy.verify(msg, a.sign(id, msg))) << "key " << id;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // ClusterConfig parser tests: the happy path with comments and odd
-// whitespace, the to_text/parse round-trip that the loopback harness and
-// qsel_node rely on, and one test per rejection — each checking that the
-// error names the offending line, since "fix line 7" is the whole point
-// of a validating parser for a hand-edited file.
+// whitespace, group sections, and one test per rejection — each checking
+// that the error names the offending line, since "fix line 7" is the
+// whole point of a validating parser for a hand-edited file.
 #include "net/cluster_config.hpp"
 
 #include <gtest/gtest.h>
@@ -49,18 +48,6 @@ TEST(ClusterConfigTest, ParsesCommentsKeysAndNodeLines) {
   ASSERT_EQ(config.nodes.size(), 4u);
   EXPECT_EQ(config.nodes[0], (NodeAddress{"10.0.0.1", 47600}));
   EXPECT_EQ(config.nodes[3], (NodeAddress{"127.0.0.1", 47602}));
-}
-
-TEST(ClusterConfigTest, ToTextParseRoundTrips) {
-  const ClusterConfig config = ClusterConfig::parse(kValid);
-  EXPECT_EQ(ClusterConfig::parse(config.to_text()), config);
-}
-
-TEST(ClusterConfigTest, RoundTripsWithoutOptionalFields) {
-  ClusterConfig config = ClusterConfig::parse(kValid);
-  config.auth_key.clear();
-  config.store_dir.clear();
-  EXPECT_EQ(ClusterConfig::parse(config.to_text()), config);
 }
 
 TEST(ClusterConfigTest, LoadReadsAFileAndRejectsAMissingOne) {
@@ -126,11 +113,6 @@ TEST(ClusterConfigGroupTest, ParsesGroupSections) {
   EXPECT_EQ(high->ranges[0], (GroupRange{"m", ""}));
 
   EXPECT_EQ(config.group(9), nullptr);
-}
-
-TEST(ClusterConfigGroupTest, ShardedToTextRoundTrips) {
-  const ClusterConfig config = ClusterConfig::parse(kSharded);
-  EXPECT_EQ(ClusterConfig::parse(config.to_text()), config);
 }
 
 TEST(ClusterConfigGroupTest, SingleGroupFilesStayValid) {

@@ -1,7 +1,8 @@
 // bench_report — the BENCH_5 hot-path benchmark suite (DESIGN.md §11),
 // plus the BENCH_6 end-to-end SMR suite behind --bench6 (section 4), the
-// BENCH_7 large-n scaling suite behind --bench7 (section 5) and the
-// BENCH_8 bounded-XPaxos-state suite behind --bench8 (section 6).
+// BENCH_7 large-n scaling suite behind --bench7 (section 5), the BENCH_8
+// bounded-XPaxos-state suite behind --bench8 (section 6) and the BENCH_9
+// hash-budget counts behind --bench9 (section 7).
 //
 // Measures the three layers the delta-gossip PR optimizes and emits one
 // flat JSON object (stdout, or --out FILE):
@@ -696,6 +697,51 @@ bool bench8_within_bound(const std::vector<Metric>& metrics) {
 }
 
 // --------------------------------------------------------------------------
+// 7. BENCH_9 — the hash budget (--bench9; DESIGN.md §17). One run of
+// load::run_sim in perfbench's sim_leader_crash shape: n = 4, f = 1,
+// 8 closed-loop clients x 16 outstanding, the leader crashed at 500 ms,
+// 2 s of virtual time, seed 1. Gated per committed op, lower is better:
+//
+//   gate_bench9_compressions_per_op  SHA-256 block compressions
+//   gate_bench9_hmacs_per_op         HMAC-SHA256 tags (signs and checks)
+//   gate_bench9_msgs_per_op          simulated messages sent
+//   gate_bench9_bytes_per_op         simulated wire bytes sent
+//
+// Counts from crypto::hash_counters and the simulated network, so they
+// are deterministic and identical in --quick and full mode. Time per op
+// per layer comes from perfbench's traced runs, not from here.
+// --------------------------------------------------------------------------
+
+void bench9_metrics(std::vector<Metric>& metrics,
+                    std::vector<std::string>& gate_keys) {
+  load::LoadConfig config;
+  config.seed = 1;
+  config.clients = 8;
+  config.outstanding = 16;
+  config.duration_ms = 2000;
+  config.sim_faults = [](sim::Simulator& sim, sim::Network& network) {
+    sim.schedule_after(500'000'000, [&network] { network.crash(0); });
+  };
+  const crypto::HashCounters before = crypto::hash_counters;
+  const load::LoadReport report = load::run_sim(config);
+  const crypto::HashCounters& after = crypto::hash_counters;
+
+  const auto ops = static_cast<double>(report.committed);
+  metrics.push_back({"bench9_committed", ops});
+  metrics.push_back({"bench9_view_changes",
+                     static_cast<double>(report.view_changes)});
+  const auto per_op = [&](const std::string& name, std::uint64_t count) {
+    metrics.push_back({"gate_bench9_" + name + "_per_op",
+                       static_cast<double>(count) / ops});
+    gate_keys.push_back("gate_bench9_" + name + "_per_op");
+  };
+  per_op("compressions", after.compressions - before.compressions);
+  per_op("hmacs", after.hmacs - before.hmacs);
+  per_op("msgs", report.net_messages);
+  per_op("bytes", report.net_bytes);
+}
+
+// --------------------------------------------------------------------------
 // Report plumbing.
 // --------------------------------------------------------------------------
 
@@ -750,8 +796,9 @@ int finish_report(const std::vector<Metric>& metrics,
   buffer << in.rdbuf();
   const std::string baseline = buffer.str();
 
-  // All gate metrics are lower-is-better ratios in [0, 1]; the small
-  // absolute slack keeps near-zero baselines from demanding perfection.
+  // All gate metrics are lower-is-better (ratios in [0, 1], or BENCH_9's
+  // per-op counts); the small absolute slack keeps near-zero baselines
+  // from demanding perfection.
   bool failed = false;
   for (const std::string& key : gate_keys) {
     double base = 0;
@@ -777,7 +824,7 @@ int finish_report(const std::vector<Metric>& metrics,
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--quick] [--bench6] [--bench7] [--bench8]"
-               " [--out FILE]"
+               " [--bench9] [--out FILE]"
                " [--baseline FILE] [--max-regress R]\n",
                argv0);
   return 2;
@@ -792,6 +839,7 @@ int main(int argc, char** argv) {
   bool bench6 = false;
   bool bench7 = false;
   bool bench8 = false;
+  bool bench9 = false;
   const char* out_path = nullptr;
   const char* baseline_path = nullptr;
   double max_regress = 0.25;
@@ -804,6 +852,8 @@ int main(int argc, char** argv) {
       bench7 = true;
     } else if (std::strcmp(argv[i], "--bench8") == 0) {
       bench8 = true;
+    } else if (std::strcmp(argv[i], "--bench9") == 0) {
+      bench9 = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--baseline") == 0 && i + 1 < argc) {
@@ -840,6 +890,13 @@ int main(int argc, char** argv) {
     const int code = finish_report(metrics, gate_keys, out_path,
                                    baseline_path, max_regress);
     return bench8_within_bound(metrics) ? code : 1;
+  }
+
+  if (bench9) {
+    bench9_metrics(metrics, gate_keys);
+    metrics.push_back({"quick", quick ? 1.0 : 0.0});
+    return finish_report(metrics, gate_keys, out_path, baseline_path,
+                         max_regress);
   }
 
   // Gossip bytes/round: identical deterministic workload in both modes

@@ -66,6 +66,12 @@
 #  12. Release: a -DCMAKE_BUILD_TYPE=Release build (-O3, -Werror and every
 #      warning still on) and its tier-1 suite — perf work measures the
 #      optimized build, so it must build and pass too.
+#  13. hash-budget gate: tools/bench_report --bench9 against the committed
+#      BENCH_9.json — one sim run in perfbench's sim_leader_crash shape
+#      (n = 4, 8 clients x 16 outstanding, leader crashed at 500 ms, 2 s
+#      virtual, seed 1); SHA-256 compressions, HMACs, messages and bytes
+#      per committed op. Deterministic counts, same 25% margin; ~1 s of CPU
+#      (a few more on a CPU without the SHA extensions).
 #
 # Environment knobs: FUZZ_RUNS (default 100), FUZZ_SEED (default 1 —
 # nightly jobs should pass a varying seed, e.g. the date), SOAK_CYCLES,
@@ -76,50 +82,53 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 cd "$ROOT"
 
-echo "== [1/12] tier-1 build + tests =="
+echo "== [1/13] tier-1 build + tests =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"
 (cd build && ctest -L tier1 --output-on-failure -j"$JOBS")
 
-echo "== [2/12] ASan/UBSan full suite =="
+echo "== [2/13] ASan/UBSan full suite =="
 cmake -B build-asan -S . -DQSEL_SANITIZE=ON >/dev/null
 cmake --build build-asan -j"$JOBS"
 (cd build-asan && ctest --output-on-failure -j"$JOBS")
 
-echo "== [3/12] loopback integration (real TCP, sanitized) =="
+echo "== [3/13] loopback integration (real TCP, sanitized) =="
 (cd build-asan && ctest -L tier1 -R "EventLoopTest|TcpTransportTest|LoopbackClusterTest|LoopbackResilienceTest|FollowerLoopbackTest|WireTest|ShardClusterTest|LoadLoopbackTest" \
   --output-on-failure)
 (cd build-asan && ctest -R "XpaxosLoopbackCrashTest" --output-on-failure)
 
-echo "== [4/12] fuzz smoke (${FUZZ_RUNS:-100} runs/protocol, sanitized, combined archetypes included) =="
+echo "== [4/13] fuzz smoke (${FUZZ_RUNS:-100} runs/protocol, sanitized, combined archetypes included) =="
 ./build-asan/tools/qsel_fuzz --runs "${FUZZ_RUNS:-100}" --seed "${FUZZ_SEED:-1}"
 
-echo "== [5/12] kill/restart durability soak (${SOAK_CYCLES:-6} cycles, 5-node f=1, sanitized) =="
+echo "== [5/13] kill/restart durability soak (${SOAK_CYCLES:-6} cycles, 5-node f=1, sanitized) =="
 (cd build-asan && QSEL_SOAK_CYCLES="${SOAK_CYCLES:-6}" \
   ctest -R "RestartSoakTest" --output-on-failure)
 
-echo "== [6/12] benchmark regression gate (bench_report --quick vs committed BENCH_5.json) =="
+echo "== [6/13] benchmark regression gate (bench_report --quick vs committed BENCH_5.json) =="
 (cd build && ctest -R '^bench_report_quick$' --output-on-failure)
 
-echo "== [7/12] sharded loopback soak (migration + node kill/restart under load, sanitized) =="
+echo "== [7/13] sharded loopback soak (migration + node kill/restart under load, sanitized) =="
 (cd build-asan && QSEL_SHARD_SOAK_OPS="${SHARD_SOAK_OPS:-30}" \
   ctest -R "ShardSoakTest" --output-on-failure)
 
-echo "== [8/12] campaign smoke (guided, 4-protocol bake-off, seed corpus replay, sanitized) =="
+echo "== [8/13] campaign smoke (guided, 4-protocol bake-off, seed corpus replay, sanitized) =="
 (cd build-asan && ctest -R "campaign_smoke" --output-on-failure)
 
-echo "== [9/12] end-to-end SMR gate (bench_report --bench6 --quick vs committed BENCH_6.json) =="
+echo "== [9/13] end-to-end SMR gate (bench_report --bench6 --quick vs committed BENCH_6.json) =="
 (cd build && ctest -R '^bench6_report_quick$' --output-on-failure)
 
-echo "== [10/12] large-n scaling gate (bench_report --bench7 vs committed BENCH_7.json) =="
+echo "== [10/13] large-n scaling gate (bench_report --bench7 vs committed BENCH_7.json) =="
 (cd build && ctest -R '^bench7_report_quick$' --output-on-failure)
 
-echo "== [11/12] bounded-state gate (bench_report --bench8 vs committed BENCH_8.json) =="
+echo "== [11/13] bounded-state gate (bench_report --bench8 vs committed BENCH_8.json) =="
 (cd build && ctest -R '^bench8_report_quick$' --output-on-failure)
 
-echo "== [12/12] Release build + tier-1 tests =="
+echo "== [12/13] Release build + tier-1 tests =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j"$JOBS"
 (cd build-release && ctest -L tier1 --output-on-failure -j"$JOBS")
+
+echo "== [13/13] hash-budget gate (bench_report --bench9 vs committed BENCH_9.json) =="
+(cd build && ctest -R '^bench9_report_quick$' --output-on-failure)
 
 echo "CI gate passed."
