@@ -57,11 +57,10 @@ class ShardCluster {
   /// bootstrap ASSIGN ops through the config group. False on timeout.
   bool start(std::uint64_t timeout_ns = 20'000'000'000);
 
-  net::EventLoop& loop() { return mesh_.loop(); }
   bool run_until(const std::function<bool()>& pred, std::uint64_t timeout_ns) {
-    return loop().run_until(pred, timeout_ns);
+    return mesh_.loop().run_until(pred, timeout_ns);
   }
-  void run_for(std::uint64_t duration_ns) { loop().run_for(duration_ns); }
+  void run_for(std::uint64_t duration_ns) { mesh_.loop().run_for(duration_ns); }
 
   RoutingClient& client(ProcessId i);  // i < kRoutingClients
   MigrationCoordinator& coordinator() { return *coordinator_; }

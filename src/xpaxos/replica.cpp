@@ -71,7 +71,7 @@ void Replica::on_message(ProcessId from, const sim::PayloadPtr& message) {
                  std::dynamic_pointer_cast<const PrepareMessage>(message)) {
     if (!leader_signed(*prepare)) return;
     fd().on_receive(prepare->sig.signer, message);
-    handle_prepare(*prepare, /*via_commit=*/false);
+    handle_prepare(*prepare);
   } else if (auto commit =
                  std::dynamic_pointer_cast<const CommitMessage>(message)) {
     handle_commit(commit);
@@ -103,11 +103,13 @@ void Replica::on_message(ProcessId from, const sim::PayloadPtr& message) {
 
 void Replica::handle_request(
     const std::shared_ptr<const ClientRequest>& request) {
-  if (!request->verify(signer_)) return;
+  // The client's signature is checked only where the request is acted on:
+  // answered, held, relayed or queued. A copy dropped unread costs nothing.
   const RequestKey key{request->client, request->client_seq};
   if (const std::string* result = cached_result(key)) {
     // Retransmission of an executed request: resend the cached reply.
-    if (request->client < transport_.process_count())
+    if (request->verify(signer_) &&
+        request->client < transport_.process_count())
       transport_.send(request->client,
                       ReplyMessage::make(signer_, view_, request->client,
                                          request->client_seq, *result));
@@ -116,15 +118,22 @@ void Replica::handle_request(
   // Below the reply floor: executed long ago and its reply slid out of
   // the window; neither re-executed nor answered.
   if (executed(key)) return;
+  if (status_ != Status::kNormal) {
+    // Kept for the leader of the view being installed (DESIGN.md §18).
+    if (request->verify(signer_)) hold(request);
+    return;
+  }
+  if (!in_active_quorum()) return;
   if (!is_leader()) {
     // Quorum members relay the request to the leader and expect the
     // corresponding PREPARE: a correct leader proposes within two
     // communication rounds (accuracy holds), a crashed or omitting leader
     // becomes a suspicion that drives quorum selection even when no other
-    // traffic is in flight.
-    if (status_ != Status::kNormal || !in_active_quorum()) return;
+    // traffic is in flight. The request is kept in case that happens.
     if (client_index_.contains(key)) return;  // already proposed
+    if (!request->verify(signer_)) return;
     transport_.send(leader(), request);
+    hold(request);
     if (!fd().suspected().contains(leader())) {
       const ViewId view = view_;
       const auto client = request->client;
@@ -141,21 +150,11 @@ void Replica::handle_request(
     }
     return;
   }
-  if (status_ != Status::kNormal) {
-    if (pending_keys_.insert(key).second) pending_requests_.push_back(request);
-    return;
-  }
-  if (const auto it = client_index_.find(key); it != client_index_.end()) {
-    // Only trust the index if the slot still carries this request — a view
-    // change may have replaced a lost slot with a no-op, in which case the
-    // retransmission must be re-proposed.
-    const auto slot_it = log_.find(it->second);
-    if (slot_it != log_.end() && slot_it->second.prepare &&
-        slot_it->second.prepare->contains(key.first, key.second))
-      return;  // genuinely in flight
-    client_index_.erase(it);
-  }
-  if (!pending_keys_.insert(key).second) return;  // already queued
+  // A copy of a request already queued or in flight, most often one a
+  // member relayed.
+  if (pending_keys_.contains(key) || proposed(key)) return;
+  if (!request->verify(signer_)) return;
+  pending_keys_.insert(key);
   pending_requests_.push_back(request);
   pump_proposals();
 }
@@ -180,14 +179,7 @@ void Replica::pump_proposals() {
       pending_keys_.erase(key);
       // Re-validate: the request may have executed or been re-proposed
       // (view-change replay) while it sat in the queue.
-      if (executed(key)) continue;
-      if (const auto it = client_index_.find(key);
-          it != client_index_.end()) {
-        const auto slot_it = log_.find(it->second);
-        if (slot_it != log_.end() && slot_it->second.prepare &&
-            slot_it->second.prepare->contains(key.first, key.second))
-          continue;  // already in flight
-      }
+      if (executed(key) || proposed(key)) continue;
       batch.push_back(
           BatchEntry{request->client, request->client_seq, request->op});
     }
@@ -205,7 +197,7 @@ void Replica::propose_batch(std::vector<BatchEntry> batch) {
                              << " (" << prepare.requests.size()
                              << " requests) in view " << view_;
   send_to_quorum(std::make_shared<PrepareMessage>(prepare));
-  handle_prepare(prepare, /*via_commit=*/false);
+  handle_prepare(prepare);
 }
 
 void Replica::expect_commit(ProcessId from, ViewId view, SeqNum slot_no) {
@@ -218,7 +210,7 @@ void Replica::expect_commit(ProcessId from, ViewId view, SeqNum slot_no) {
               "commit");
 }
 
-void Replica::handle_prepare(const PrepareMessage& prepare, bool via_commit) {
+void Replica::handle_prepare(const PrepareMessage& prepare) {
   if (prepare.view != view_) return;
   if (status_ != Status::kNormal) {
     // The leader installed the view before us and its normal-case traffic
@@ -232,6 +224,8 @@ void Replica::handle_prepare(const PrepareMessage& prepare, bool via_commit) {
     // highest certificate in the VIEWCHANGE set, and this replica may have
     // learned a higher one since), and every other member waits on this
     // replica's COMMIT, so a member commits it all the same.
+    for (const BatchEntry& e : prepare.requests)
+      release({e.client, e.client_seq});
     if (in_active_quorum())
       send_to_quorum(CommitMessage::make(signer_, prepare));
     return;
@@ -260,8 +254,10 @@ void Replica::handle_prepare(const PrepareMessage& prepare, bool via_commit) {
   } else {
     slot.prepare = prepare;
   }
-  for (const BatchEntry& e : prepare.requests)
+  for (const BatchEntry& e : prepare.requests) {
     client_index_[{e.client, e.client_seq}] = prepare.slot;
+    release({e.client, e.client_seq});
+  }
 
   if (!in_active_quorum()) return;  // passive replicas only track the log
   if (!slot.own_commit_sent) {
@@ -275,7 +271,6 @@ void Replica::handle_prepare(const PrepareMessage& prepare, bool via_commit) {
       expect_commit(member, view_, prepare.slot);
     }
   }
-  (void)via_commit;
   try_execute();
 }
 
@@ -340,7 +335,7 @@ void Replica::handle_commit(const std::shared_ptr<const CommitMessage>& commit) 
                   },
                   "prepare");
     }
-    handle_prepare(commit->prepare, /*via_commit=*/true);
+    handle_prepare(commit->prepare);
   } else {
     try_execute();
   }
@@ -370,6 +365,7 @@ void Replica::try_execute() {
       }
       const RequestKey key{e.client, e.client_seq};
       client_index_.erase(key);
+      release(key);
       const bool replyable =
           e.client < transport_.process_count() && e.client >= config_.n;
       // Exactly-once: a view change can resurrect a request that already
@@ -636,27 +632,50 @@ void Replica::handle_newview(const std::shared_ptr<const NewViewMessage>& msg) {
     if (p.view != view_) continue;
     if (!p.verify(signer_, config_.n, leader())) continue;
     max_slot = std::max(max_slot, p.slot);
-    handle_prepare(p, /*via_commit=*/false);
+    handle_prepare(p);
   }
   reproposed_through_ = max_slot;
-  // Replay normal-case traffic that overtook this NEWVIEW.
+  // Replay normal-case traffic that overtook this NEWVIEW, PREPAREs first.
+  // A COMMIT replayed ahead of its PREPARE would expect that PREPARE from
+  // the leader, but the buffered one met the failure detector on arrival,
+  // before the expectation existed, so the correct leader would be
+  // suspected one timeout later (DESIGN.md §18).
   auto buffered = std::move(buffered_protocol_);
   buffered_protocol_.clear();
+  std::stable_partition(buffered.begin(), buffered.end(),
+                        [](const sim::PayloadPtr& m) {
+                          return dynamic_cast<const PrepareMessage*>(
+                                     m.get()) != nullptr;
+                        });
   for (const sim::PayloadPtr& message : buffered) {
     if (auto prepare =
             std::dynamic_pointer_cast<const PrepareMessage>(message)) {
-      handle_prepare(*prepare, /*via_commit=*/false);
+      handle_prepare(*prepare);
     } else if (auto commit =
                    std::dynamic_pointer_cast<const CommitMessage>(message)) {
       handle_commit(commit);
     }
   }
-  if (is_leader()) {
+  // The requests held here that no PREPARE of this view carries yet
+  // (DESIGN.md §18). The leader queues them behind the ones it queued
+  // before; every other member sends them to the leader once, as a client
+  // retransmission would, but arms no expectation: the leader may answer
+  // from its reply table instead of proposing.
+  std::vector<std::shared_ptr<const ClientRequest>> held;
+  for (const auto& [client, requests] : held_)
+    for (const auto& [seq, request] : requests) held.push_back(request);
+  if (!in_active_quorum()) {
+    held_.clear();
+  } else if (is_leader()) {
     next_slot_ = std::max(next_slot_, max_slot + 1);
-    auto pending = std::move(pending_requests_);
+    std::vector<std::shared_ptr<const ClientRequest>> replay(
+        pending_requests_.begin(), pending_requests_.end());
     pending_requests_.clear();
     pending_keys_.clear();
-    for (const auto& request : pending) handle_request(request);
+    replay.insert(replay.end(), held.begin(), held.end());
+    for (const auto& request : replay) handle_request(request);
+  } else {
+    for (const auto& request : held) transport_.send(leader(), request);
   }
   try_execute();
 }
@@ -681,6 +700,35 @@ bool Replica::executed(const RequestKey& key) const {
   const std::uint64_t highest = client->second.rbegin()->first;
   return highest > smr::kReplyWindow &&
          key.second <= highest - smr::kReplyWindow;
+}
+
+bool Replica::proposed(const RequestKey& key) const {
+  const auto it = client_index_.find(key);
+  if (it == client_index_.end()) return false;
+  const auto slot = log_.find(it->second);
+  return slot != log_.end() && slot->second.prepare &&
+         slot->second.prepare->contains(key.first, key.second);
+}
+
+void Replica::hold(const std::shared_ptr<const ClientRequest>& request) {
+  auto& requests = held_[request->client];
+  requests.emplace(request->client_seq, request);
+  // A client's lowest seq is the first to have executed elsewhere.
+  if (requests.size() > smr::kReplyWindow) requests.erase(requests.begin());
+}
+
+void Replica::release(const RequestKey& key) {
+  if (held_.empty()) return;
+  const auto client = held_.find(key.first);
+  if (client == held_.end()) return;
+  client->second.erase(key.second);
+  if (client->second.empty()) held_.erase(client);
+}
+
+std::size_t Replica::held_requests() const {
+  std::size_t count = 0;
+  for (const auto& [client, requests] : held_) count += requests.size();
+  return count;
 }
 
 void Replica::cache_result(const RequestKey& key, std::string result) {
@@ -857,6 +905,13 @@ void Replica::handle_state(const std::shared_ptr<const StateMessage>& msg) {
   // Slots executed before the gap are dropped with it, so the history is
   // contiguous and starts just above the installed checkpoint.
   executed_history_.clear();
+  // Held requests the snapshot executed are settled.
+  for (auto client = held_.begin(); client != held_.end();) {
+    std::erase_if(client->second, [&](const auto& entry) {
+      return executed({client->first, entry.first});
+    });
+    client = client->second.empty() ? held_.erase(client) : std::next(client);
+  }
   last_executed_ = cert.slot;
   next_slot_ = std::max(next_slot_, last_executed_ + 1);
   stable_ = msg;

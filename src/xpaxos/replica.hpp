@@ -26,6 +26,13 @@
 //    Q ("suspect all quorums ordered before Q"), cancelling outstanding
 //    expectations.
 //
+// Fail-over (DESIGN.md §18): a replica keeps the verified client requests
+// it relayed as a quorum member or received during a view change, until a
+// PREPARE carrying them is logged. When a view installs, the new leader
+// queues the ones it holds and every other member sends it its own, so the
+// new quorum proposes them at once instead of after the clients' retry
+// timers: an early client retransmission, deduplicated as one.
+//
 // Checkpoints (DESIGN.md §16): after executing every kCheckpointInterval-th
 // slot a replica snapshots the app plus its reply table and sends a signed
 // CHECKPOINT to the active quorum; n - f matching ones make the checkpoint
@@ -135,6 +142,8 @@ class Replica final {
   std::size_t in_flight_instances() const;
   /// Requests queued behind a full pipeline window (leader only).
   std::size_t pending_proposals() const { return pending_requests_.size(); }
+  /// Client requests held for the next leader (DESIGN.md §18).
+  std::size_t held_requests() const;
   fd::FailureDetector& failure_detector() { return plane_.failure_detector(); }
   /// Null under the enumeration policy.
   const qs::QuorumSelector* selector() const {
@@ -163,6 +172,8 @@ class Replica final {
     bool executed = false;
   };
 
+  /// Checks the client's signature only where the request is acted on
+  /// (DESIGN.md §18).
   void handle_request(const std::shared_ptr<const ClientRequest>& request);
   void propose_batch(std::vector<BatchEntry> batch);
   /// Drains pending_requests_ into PREPARE batches while the pipeline
@@ -173,7 +184,7 @@ class Replica final {
   /// handle_commit establish it with leader_signed(), handle_newview by
   /// verifying each re-proposal, the buffered replay at receipt, and
   /// propose_batch by signing.
-  void handle_prepare(const PrepareMessage& prepare, bool via_commit);
+  void handle_prepare(const PrepareMessage& prepare);
   /// True when `prepare` is signed by the leader of its view. A PREPARE of
   /// the current view equal, proposal and signature, to the one logged for
   /// its slot was checked when it was logged: no HMAC (DESIGN.md §17).
@@ -208,6 +219,13 @@ class Replica final {
   const std::string* cached_result(const RequestKey& key) const;
   /// Executed already: cached, or at or below the client's reply floor.
   bool executed(const RequestKey& key) const;
+  /// Leader: logged in a slot that still carries it (a view change may
+  /// have filled the request's slot with a no-op).
+  bool proposed(const RequestKey& key) const;
+  /// Keeps a verified request for the next leader, at most
+  /// smr::kReplyWindow per client (DESIGN.md §18).
+  void hold(const std::shared_ptr<const ClientRequest>& request);
+  void release(const RequestKey& key);
   void cache_result(const RequestKey& key, std::string result);
   std::vector<std::uint8_t> encode_snapshot(SeqNum slot) const;
   bool restore_snapshot(std::span<const std::uint8_t> bytes, SeqNum slot);
@@ -271,11 +289,18 @@ class Replica final {
   SeqNum reproposed_through_ = 0;
   std::uint64_t state_transfers_ = 0;
   /// Leader-side proposal queue: requests wait here while the pipeline
-  /// window is full (and across view changes). pending_keys_ mirrors the
-  /// queue so retransmissions cannot enqueue a request twice.
+  /// window is full. pending_keys_ mirrors the queue so retransmissions
+  /// cannot enqueue a request twice.
   std::deque<std::shared_ptr<const ClientRequest>> pending_requests_;
   std::set<RequestKey> pending_keys_;
   bool pumping_ = false;
+  /// Verified requests this replica relayed as a quorum member or received
+  /// during a view change, by client and seq; each is dropped once a
+  /// PREPARE carrying it is logged, once it executes, or when a view that
+  /// leaves this replica out installs (DESIGN.md §18).
+  std::map<std::uint32_t,
+           std::map<std::uint64_t, std::shared_ptr<const ClientRequest>>>
+      held_;
 
   /// VIEWCHANGE messages collected for view_ (by everyone: the
   /// leader-elect assembles from them; members use completeness of the set

@@ -9,7 +9,9 @@
 //    instance give the same state and responses, while the batched arm
 //    provably amortizes (fewer PREPAREs than commits).
 //  * View change under load: killing the leader with a full pipeline
-//    window loses nothing — every request still commits exactly once.
+//    window loses nothing — every request still commits exactly once —
+//    and the new leader serves the outstanding requests before any
+//    client's retry timer fires.
 //  * Determinism: same (config, seed) on the sim substrate produces a
 //    bit-identical JSON report.
 #include "load/driver.hpp"
@@ -186,6 +188,30 @@ TEST(LoadDriverTest, ViewChangeUnderLoadLosesNothing) {
   EXPECT_EQ(report.committed, 4u * 25u);
   EXPECT_TRUE(report.history_error.empty()) << report.history_error;
   EXPECT_GT(report.view_changes, 0u) << "crash never forced a view change";
+}
+
+TEST(LoadDriverTest, LeaderCrashNeedsNoClientRetry) {
+  // perfbench's sim_leader_crash shape, 8 clients x 16 outstanding. Every
+  // request outstanding at the crash already reached the new quorum,
+  // whose members keep it and hand it to the new leader as its view
+  // installs (DESIGN.md §18): no client retries, and no op waits even half
+  // a retry timeout.
+  LoadConfig config;
+  config.seed = 1;
+  config.clients = 8;
+  config.outstanding = 16;
+  config.requests_per_client = 600;
+  // The fault-free run lasts ~180 ms of virtual time.
+  config.sim_faults = [](sim::Simulator& sim, sim::Network& network) {
+    sim.schedule_after(60'000'000, [&network] { network.crash(0); });
+  };
+  const LoadReport report = run_sim(config);
+  EXPECT_EQ(report.committed, 8u * 600u);
+  EXPECT_TRUE(report.history_error.empty()) << report.history_error;
+  EXPECT_GT(report.view_changes, 0u) << "crash never forced a view change";
+  EXPECT_EQ(report.retransmissions, 0u);
+  EXPECT_LT(report.latency.max(),
+            static_cast<std::uint64_t>(config.client_retry / 2));
 }
 
 TEST(LoadDriverTest, SimReportIsBitIdenticalAcrossRuns) {

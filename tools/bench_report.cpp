@@ -707,6 +707,11 @@ bool bench8_within_bound(const std::vector<Metric>& metrics) {
 //   gate_bench9_msgs_per_op          simulated messages sent
 //   gate_bench9_bytes_per_op         simulated wire bytes sent
 //
+// and the fail-over (DESIGN.md §18), lower is better:
+//
+//   gate_bench9_max_latency_ms       slowest op, submit to f+1 replies, in
+//                                    virtual ms: the crash's outage
+//
 // Counts from crypto::hash_counters and the simulated network, so they
 // are deterministic and identical in --quick and full mode. Time per op
 // per layer comes from perfbench's traced runs, not from here.
@@ -730,6 +735,11 @@ void bench9_metrics(std::vector<Metric>& metrics,
   metrics.push_back({"bench9_committed", ops});
   metrics.push_back({"bench9_view_changes",
                      static_cast<double>(report.view_changes)});
+  metrics.push_back({"bench9_retransmissions",
+                     static_cast<double>(report.retransmissions)});
+  metrics.push_back({"gate_bench9_max_latency_ms",
+                     static_cast<double>(report.latency.max()) / 1e6});
+  gate_keys.push_back("gate_bench9_max_latency_ms");
   const auto per_op = [&](const std::string& name, std::uint64_t count) {
     metrics.push_back({"gate_bench9_" + name + "_per_op",
                        static_cast<double>(count) / ops});

@@ -70,8 +70,10 @@
 #      BENCH_9.json — one sim run in perfbench's sim_leader_crash shape
 #      (n = 4, 8 clients x 16 outstanding, leader crashed at 500 ms, 2 s
 #      virtual, seed 1); SHA-256 compressions, HMACs, messages and bytes
-#      per committed op. Deterministic counts, same 25% margin; ~1 s of CPU
-#      (a few more on a CPU without the SHA extensions).
+#      per committed op, and the crash's outage as the slowest op in
+#      virtual ms (gate_bench9_max_latency_ms). Deterministic, same 25%
+#      margin; ~1 s of CPU (a few more on a CPU without the SHA
+#      extensions).
 #
 # Environment knobs: FUZZ_RUNS (default 100), FUZZ_SEED (default 1 —
 # nightly jobs should pass a varying seed, e.g. the date), SOAK_CYCLES,
